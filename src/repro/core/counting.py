@@ -19,12 +19,19 @@ Three kernels:
 Every kernel exposes a ``probes`` counter — the number of candidate
 lookups performed — which is the workload metric the paper plots in
 Figure 15.
+
+The H-HPGM partition kernel also supports *replicas*: one counter is
+built per pass as the read-only index, every simulated node counts
+into its own :meth:`~RootKeyedClosureCounter.replica`, and the
+replicas' :class:`CounterTally` objects are absorbed back into the
+index, which folds once — the coordinator reduce of Figures 7/9/11.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
 
@@ -242,6 +249,30 @@ class AncestorClosureCounter:
         return hits
 
 
+@dataclass
+class CounterTally:
+    """What one counter replica accumulated, in the form it travels back.
+
+    ``probes``, ``generated`` and ``hits`` are the replica's metric
+    totals (``hits`` is the sum of all its count increments — a node's
+    ``increments``).  ``counts`` holds its non-zero count increments;
+    ``pending`` is the fast k == 2 kernel's deferred ``{mask: weight}``
+    map, which the index folds once for all replicas.
+    """
+
+    probes: int = 0
+    generated: int = 0
+    hits: int = 0
+    counts: dict[Itemset, int] = field(default_factory=dict)
+    pending: dict[int, int] = field(default_factory=dict)
+
+
+def pickled_tally(tally: CounterTally) -> CounterTally | None:
+    """A counter's tally as pickled: ``None`` while nothing was counted,
+    so a fresh index ships as no more than its build inputs."""
+    return None if tally == CounterTally() else tally
+
+
 class RootKeyedClosureCounter:
     """H-HPGM partition kernel: per-root-key subset enumeration.
 
@@ -257,6 +288,12 @@ class RootKeyedClosureCounter:
     the aggregate probe work matches a single sequential pass, and the
     per-node distribution is exactly the key-ownership workload the
     paper's Figure 15 measures.
+
+    Replica contract (shared with the fast kernel): :meth:`replica`
+    returns a zeroed counter over the same read-only index,
+    :meth:`tally` reports what a counter accumulated and :meth:`absorb`
+    adds a tally in.  A counter pickles as its index's inputs plus its
+    tally.
 
     Parameters
     ----------
@@ -285,6 +322,7 @@ class RootKeyedClosureCounter:
         self.counts: dict[Itemset, int] = {c: 0 for c in candidates}
         self.probes = 0
         self.generated = 0
+        self.hits = 0
         self._table = ancestor_table
         self._root_of = root_of
         self._universe = {item for c in self.counts for item in c}
@@ -296,6 +334,40 @@ class RootKeyedClosureCounter:
         for candidate in self.counts:
             key = tuple(sorted(root_of[item] for item in candidate))
             self._key_items.setdefault(key, set()).update(candidate)
+
+    def replica(self) -> "RootKeyedClosureCounter":
+        """A zeroed counter sharing this one's read-only index."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.counts = dict.fromkeys(self.counts, 0)
+        clone.probes = clone.generated = clone.hits = 0
+        return clone
+
+    def tally(self) -> CounterTally:
+        """Metric totals plus the non-zero counts accumulated so far."""
+        return CounterTally(
+            probes=self.probes,
+            generated=self.generated,
+            hits=self.hits,
+            counts={c: n for c, n in sorted(self.counts.items()) if n},
+        )
+
+    def absorb(self, tally: CounterTally) -> None:
+        """Add a replica's tally into this counter."""
+        self.probes += tally.probes
+        self.generated += tally.generated
+        self.hits += tally.hits
+        counts = self.counts
+        for candidate, count in sorted(tally.counts.items()):
+            counts[candidate] += count
+
+    def __reduce__(self):
+        # Rebuilt from its inputs on unpickling; caches are not shipped.
+        args = (tuple(self.counts), self.k, self._table, self._root_of)
+        return (type(self), args, pickled_tally(self.tally()))
+
+    def __setstate__(self, tally: CounterTally) -> None:
+        self.absorb(tally)
 
     def add_transaction(self, fragment: tuple[int, ...]) -> int:
         """Count one routed, sorted, lowest-large fragment."""
@@ -339,6 +411,7 @@ class RootKeyedClosureCounter:
                 if subset in counts:
                     counts[subset] += 1
                     hits += 1
+        self.hits += hits
         return hits
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from itertools import combinations
+from itertools import combinations, product
 
 from repro.core.counting import feasible_sorted_multisets
 from repro.core.itemsets import Itemset
@@ -225,24 +225,16 @@ def ancestor_closure(
 
     ``chains`` maps an item to its ancestors-or-self tuple.  Used by the
     PGD/FGD duplicate selectors, which copy a frequent itemset *"and
-    their all ancestor itemsets"*.
+    their all ancestor itemsets"*.  Each choice of one chain link per
+    item is a variant; variants that collapse (two items sharing an
+    ancestor) are not k-itemsets and are skipped.
     """
+    k = len(candidate)
     closure: set[Itemset] = set()
-    options = [chains.get(item, (item,)) for item in candidate]
-    stack: list[tuple[int, list[int]]] = [(0, [])]
-    while stack:
-        depth, chosen = stack.pop()
-        if depth == len(options):
-            variant = tuple(sorted(set(chosen)))
-            if (
-                len(variant) == len(candidate)
-                and variant != candidate
-                and variant in candidate_set
-            ):
-                closure.add(variant)
-            continue
-        for item in options[depth]:
-            stack.append((depth + 1, chosen + [item]))
+    for chosen in product(*(chains.get(item, (item,)) for item in candidate)):
+        variant = tuple(sorted(set(chosen)))
+        if len(variant) == k and variant != candidate and variant in candidate_set:
+            closure.add(variant)
     return closure
 
 

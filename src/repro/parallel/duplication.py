@@ -46,6 +46,10 @@ class GreedyPacker:
     def __init__(self, partition_sizes: list[int], memory: int | None):
         self._sizes = list(partition_sizes)
         self._memory = memory
+        # Upper bound on max(self._sizes).  Sizes only shrink, so it
+        # stays a bound after every accept; a failed check rescans the
+        # nodes and tightens it to the exact largest partition.
+        self._peak_bound = max(self._sizes, default=0)
         self.duplicated: set[Itemset] = set()
 
     def try_add(self, members: list[tuple[Itemset, int]]) -> bool:
@@ -53,24 +57,45 @@ class GreedyPacker:
 
         Members already duplicated are ignored; the group is accepted
         atomically (the paper copies a whole tree / path / closure, not
-        a prefix of one).
+        a prefix of one).  The group fits when the largest partition
+        after removing it, plus the grown duplicated set, is within the
+        budget; the running bound decides that without a scan whenever
+        it can.
         """
         fresh = [(c, owner) for c, owner in members if c not in self.duplicated]
         if not fresh:
             return False
-        if self._memory is not None:
-            removed: Counter[int] = Counter(owner for _, owner in fresh)
+        memory = self._memory
+        if memory is not None:
             new_dup = len(self.duplicated) + len(fresh)
-            peak = max(
-                size - removed.get(node, 0)
-                for node, size in enumerate(self._sizes)
-            )
-            if peak + new_dup > self._memory:
-                return False
+            if self._peak_bound + new_dup > memory:
+                removed: Counter[int] = Counter(owner for _, owner in fresh)
+                sizes = self._sizes
+                peak = max(
+                    size - removed.get(node, 0) for node, size in enumerate(sizes)
+                )
+                # Nodes outside the group keep their size, so the exact
+                # largest partition is the larger of the peak and the
+                # group's owners before removal.
+                self._peak_bound = max(peak, max(sizes[node] for node in removed))
+                if peak + new_dup > memory:
+                    return False
         for candidate, owner in fresh:
             self.duplicated.add(candidate)
             self._sizes[owner] -= 1
         return True
+
+
+def everything_fits(candidates: Collection[Itemset], memory: int | None) -> bool:
+    """Would the greedy packer accept every group of ``candidates``?
+
+    Yes when all of ``Ck`` fits in ``M``.  A node's remaining partition
+    holds only candidates not yet duplicated, so after any group the
+    largest partition plus the duplicated set is at most ``|Ck|``.  TGD
+    and FGD groups cover every candidate, so their selection is then
+    all of ``Ck``.
+    """
+    return memory is None or len(candidates) <= memory
 
 
 def _itemset_score(itemset: Itemset, item_counts: Mapping[int, int]) -> int:
@@ -104,6 +129,8 @@ def select_tree_grain(
     memory: int | None,
 ) -> set[Itemset]:
     """TGD: duplicate whole root-itemset trees, most frequent roots first."""
+    if everything_fits(candidates, memory):
+        return set(candidates)
     groups = group_by_root_key(candidates, root_of)
     ordered = sorted(
         groups,
@@ -148,6 +175,8 @@ def select_fine_grain(
     memory: int | None,
 ) -> set[Itemset]:
     """FGD: duplicate frequent candidates of any level plus their ancestors."""
+    if everything_fits(candidates, memory):
+        return set(candidates)
     candidate_set = set(candidates)
     ordered = sorted(candidates, key=lambda c: (-_itemset_score(c, item_counts), c))
     packer = GreedyPacker(partition_sizes, memory)

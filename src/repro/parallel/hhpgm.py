@@ -93,8 +93,9 @@ class HHPGM(ParallelMiner):
             candidates, root_of, num_nodes
         )
         owner_of = {
-            candidate: owners[root_key(candidate, root_of)]
-            for candidate in candidates
+            candidate: node
+            for node, partition in enumerate(partitions)
+            for candidate in partition
         }
 
         duplicated = self._select_duplicates(
@@ -141,21 +142,30 @@ class HHPGM(ParallelMiner):
                 }
             )
 
+        # Every pass-k counter index is built once, here: one per
+        # partition (it also absorbs the receive phase) and one for the
+        # duplicated set, in sorted order.  Each node's scan counts into
+        # zeroed replicas of them and hands back tallies, so the per-node
+        # work is the counting itself; the index build and the fold are
+        # paid once per pass.
         counting = self.counting
         part_counters = [
             counting.root_keyed_counter(partition, k, chains, root_of)
             for partition in partitions
         ]
+        dup_counter = (
+            counting.root_keyed_counter(sorted(duplicated), k, chains, root_of)
+            if duplicated
+            else None
+        )
         for node, partition in zip(cluster.nodes, partitions):
             node.charge_candidates(len(partition) + len(duplicated))
 
         # Scan phase: rewrite, count duplicates locally, route fragments.
         # Each node's scan is a pure worker; local-fragment hits come
-        # back as counter state, remote fragments as an ordered send
+        # back as a counter tally, remote fragments as an ordered send
         # list replayed here so traces and receive charges match a
-        # serial run.  The duplicated set is materialised in sorted
-        # order so every node builds its replica counter with identical
-        # internal layout.
+        # serial run.
         tasks = [
             HHPGMScanTask(
                 disk=node.disk,
@@ -164,12 +174,11 @@ class HHPGM(ParallelMiner):
                 owners=owners,
                 active_keys=frozenset(active_keys),
                 useful_for=tuple(frozenset(useful) for useful in useful_for),
-                chains=chains,
-                partition=tuple(partitions[node.node_id]),
-                duplicated=tuple(sorted(duplicated)),
+                partition=part_counters[node.node_id],
+                duplicated=dup_counter,
                 k=k,
                 me=node.node_id,
-                counting=counting,
+                dedup=counting.dedup,
             )
             for node in cluster.nodes
         ]
@@ -179,11 +188,7 @@ class HHPGM(ParallelMiner):
                 me = node.node_id
                 stats = node.stats
                 apply_stats(stats, scan.stats)
-                counter = part_counters[me]
-                counter.probes += scan.probes
-                counter.generated += scan.generated
-                for itemset, count in sorted(scan.counts.items()):
-                    counter.counts[itemset] += count
+                part_counters[me].absorb(scan.local)
                 for dest, fragment in scan.sends:
                     network.send(me, dest, fragment, stats, node_stats[dest])
 
@@ -194,20 +199,23 @@ class HHPGM(ParallelMiner):
                 for payload in network.drain(node.node_id):
                     counter.add_transaction(payload)
 
-        # Fold counter telemetry into the node stats.
+        # Fold counter telemetry into the node stats.  A node's share of
+        # the duplicated-set counting is its own tally's.
         for node, scan in zip(cluster.nodes, results):
             with self.obs.node_span("count", node):
                 stats = node.stats
                 counter = part_counters[node.node_id]
                 stats.probes += counter.probes
                 stats.itemsets_generated += counter.generated
-                stats.increments += sum(counter.counts.values())
-                if duplicated:
-                    stats.probes += scan.dup_probes
-                    stats.itemsets_generated += scan.dup_generated
-                    stats.increments += sum(scan.dup_counts.values())
+                stats.increments += counter.hits
+                if scan.duplicated is not None:
+                    stats.probes += scan.duplicated.probes
+                    stats.itemsets_generated += scan.duplicated.generated
+                    stats.increments += scan.duplicated.hits
 
-        # Large determination: local for partitions, reduced for duplicates.
+        # Large determination: local for partitions; the duplicated set
+        # is reduced at the coordinator — every node's tally absorbed
+        # into the one index, folded once.
         large: dict[Itemset, int] = {}
         reduced = 0
         for counter in part_counters:
@@ -218,16 +226,14 @@ class HHPGM(ParallelMiner):
             }
             reduced += len(local_large)
             large.update(local_large)
-        if duplicated:
-            aggregated: dict[Itemset, int] = {}
+        if dup_counter is not None:
             for scan in results:
-                for itemset, count in sorted(scan.dup_counts.items()):
-                    aggregated[itemset] = aggregated.get(itemset, 0) + count
+                dup_counter.absorb(scan.duplicated)
             reduced += len(duplicated) * num_nodes
             large.update(
                 {
                     itemset: count
-                    for itemset, count in sorted(aggregated.items())
+                    for itemset, count in sorted(dup_counter.counts.items())
                     if count >= threshold
                 }
             )

@@ -37,6 +37,7 @@ from collections import Counter
 from collections.abc import Collection, Mapping, Sequence
 from math import comb
 
+from repro.core.counting import CounterTally, pickled_tally
 from repro.core.itemsets import Itemset
 from repro.errors import MiningError
 
@@ -502,6 +503,14 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
     available, or an exact pure-Python mask loop otherwise.  Either way
     the fold is a sum of integer increments, so the result is identical
     to folding per call.
+
+    Replicas (see :class:`~repro.core.counting.RootKeyedClosureCounter`
+    for the contract) share the trie, key masks and fold layout; each
+    keeps its own probes/generated/hits, deferred masks, memo and
+    per-item caches, and its counts are sparse (only candidates it hit,
+    k >= 3).  A k == 2 replica's tally is therefore just metric totals
+    plus its ``{mask: weight}`` map, and the index folds every node's
+    masks in one :meth:`_flush`.
     """
 
     def __init__(
@@ -516,8 +525,12 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
             raise MiningError(f"k must be positive, got {k}")
         self.k = k
         self._counts: dict[Itemset, int] = {c: 0 for c in candidates}
+        # The index's candidates in build order: what a pickled counter
+        # ships, since a replica's own counts are sparse.
+        self._candidates = tuple(self._counts)
         self.probes = 0
         self.generated = 0
+        self.hits = 0
         self._table = ancestor_table
         self._root_of = root_of
         self._universe = {item for c in self._counts for item in c}
@@ -550,6 +563,54 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
         self._kept_mask: dict[int, tuple[int, int]] = {}
         self._memo: dict[tuple[int, ...], tuple] | None = {} if memoize else None
         self._init_fold(k)
+
+    def replica(self) -> "FastRootKeyedClosureCounter":
+        """A zeroed counter sharing this one's read-only index."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone._counts = Counter()
+        clone.probes = clone.generated = clone.hits = 0
+        clone._pending = {}
+        clone._memo = {} if self._memo is not None else None
+        clone._kept = {}
+        clone._kept_mask = {}
+        return clone
+
+    def tally(self) -> CounterTally:
+        """Metric totals, non-zero counts and the unfolded masks."""
+        return CounterTally(
+            probes=self.probes,
+            generated=self.generated,
+            hits=self.hits,
+            counts={c: n for c, n in self._counts.items() if n},
+            pending=dict(self._pending),
+        )
+
+    def absorb(self, tally: CounterTally) -> None:
+        """Add a replica's tally; its masks join this counter's next fold."""
+        self.probes += tally.probes
+        self.generated += tally.generated
+        self.hits += tally.hits
+        counts = self._counts
+        for candidate, count in tally.counts.items():
+            counts[candidate] += count
+        pending = self._pending
+        for mask, weight in tally.pending.items():
+            pending[mask] = pending.get(mask, 0) + weight
+
+    def __reduce__(self):
+        # Rebuilt from its inputs on unpickling; caches are not shipped.
+        args = (
+            self._candidates,
+            self.k,
+            self._table,
+            self._root_of,
+            self._memo is not None,
+        )
+        return (type(self), args, pickled_tally(self.tally()))
+
+    def __setstate__(self, tally: CounterTally) -> None:
+        self.absorb(tally)
 
     def _analyze_pairs(
         self, fragment: tuple[int, ...]
@@ -654,7 +715,7 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
 
     def add_transaction(self, fragment: tuple[int, ...], weight: int = 1) -> int:
         """Count one routed, sorted, lowest-large fragment ``weight`` times."""
-        if not self._counts or len(fragment) < self.k:
+        if self._trie is None or len(fragment) < self.k:
             return 0
         memo = self._memo
         entry = memo.get(fragment) if memo is not None else None
@@ -666,6 +727,7 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
             subsets, mask, hits = entry
             self.generated += subsets * weight
             self.probes += subsets * weight
+            self.hits += hits * weight
             if mask:
                 pending = self._pending
                 pending[mask] = pending.get(mask, 0) + weight
@@ -677,6 +739,7 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
         subsets, matched = entry
         self.generated += subsets * weight
         self.probes += subsets * weight
+        self.hits += len(matched) * weight
         counts = self._counts
         for candidate in matched:
             counts[candidate] += weight

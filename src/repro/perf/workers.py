@@ -24,10 +24,11 @@ from itertools import combinations
 
 from repro.cluster.disk import LocalDisk
 from repro.cluster.stats import NodeStats
+from repro.core.counting import CounterTally, RootKeyedClosureCounter
 from repro.core.itemsets import Itemset
 from repro.parallel.allocation import feasible_root_keys, itemset_owner
 from repro.perf.config import CountingConfig
-from repro.perf.kernels import FastSupportCounter
+from repro.perf.kernels import FastRootKeyedClosureCounter, FastSupportCounter
 from repro.perf.preprocess import ExtensionCache, RewriteCache
 from repro.taxonomy.ops import AncestorIndex
 
@@ -38,6 +39,7 @@ except ImportError:  # pragma: no cover - depends on the environment
 
 Payload = tuple[int, ...]
 Send = tuple[int, Payload]
+RootKeyedCounter = RootKeyedClosureCounter | FastRootKeyedClosureCounter
 
 
 def apply_stats(target: NodeStats, delta: NodeStats) -> None:
@@ -329,51 +331,50 @@ class HHPGMScanTask:
     owners: dict[tuple[int, ...], int]
     active_keys: frozenset[tuple[int, ...]]
     useful_for: tuple[frozenset[int], ...]
-    chains: dict[int, tuple[int, ...]]
-    partition: tuple[Itemset, ...]
-    duplicated: tuple[Itemset, ...]
+    #: This node's partition counter and the pass's duplicated-set
+    #: counter (``None`` without duplication), each built once per pass
+    #: by the miner.  The scan reads them only as indexes: it counts
+    #: into its own zeroed :meth:`replica` of each.
+    partition: RootKeyedCounter
+    duplicated: RootKeyedCounter | None
     k: int
     me: int
-    counting: CountingConfig
+    #: Memoize routing per distinct rewritten transaction.
+    dedup: bool
 
 
 @dataclass
 class HHPGMScanResult:
     stats: NodeStats
-    counts: dict[Itemset, int]
-    probes: int
-    generated: int
-    dup_counts: dict[Itemset, int]
-    dup_probes: int
-    dup_generated: int
+    #: Local-fragment work on this node's partition.
+    local: CounterTally
+    #: This node's share of the duplicated-set counting (its probes,
+    #: generated and hits are the node's own; the counts are reduced at
+    #: the coordinator).
+    duplicated: CounterTally | None
     sends: list[Send] = field(default_factory=list)
 
 
 def hhpgm_scan(task: HHPGMScanTask) -> HHPGMScanResult:
     """One H-HPGM node scan: rewrite, count duplicates, route fragments.
 
-    Local fragments (``dest == me``) are counted here against a fresh
-    partition counter; its counts/probes/generated are merged into the
-    miner's resident counter, which then also absorbs the receive phase.
+    Local fragments (``dest == me``) and the duplicated set are counted
+    into zeroed replicas of the miner's counters; their tallies go back
+    to be absorbed, so each counter is folded once, in the miner.  When
+    no root key keeps a resident candidate (everything duplicated),
+    routing is skipped: no fragment could have a destination.
     """
     k = task.k
     me = task.me
-    counting = task.counting
     root_of = task.root_of
     owners = task.owners
     active_keys = task.active_keys
     useful_for = task.useful_for
     stats = NodeStats()
-    counter = counting.root_keyed_counter(task.partition, k, task.chains, root_of)
-    dup_counter = (
-        counting.root_keyed_counter(task.duplicated, k, task.chains, root_of)
-        if task.duplicated
-        else None
-    )
+    counter = task.partition.replica()
+    dup_counter = task.duplicated.replica() if task.duplicated is not None else None
     rewriter = RewriteCache(task.replacement)
-    route_memo: dict[Payload, tuple[Send, ...]] | None = (
-        {} if counting.dedup else None
-    )
+    route_memo: dict[Payload, tuple[Send, ...]] | None = {} if task.dedup else None
     sends: list[Send] = []
     for transaction in task.disk.scan(stats):
         stats.extend_items += len(transaction)
@@ -382,6 +383,8 @@ def hhpgm_scan(task: HHPGMScanTask) -> HHPGMScanResult:
             continue
         if dup_counter is not None:
             dup_counter.add_transaction(rewritten)
+        if not active_keys:
+            continue
         route = route_memo.get(rewritten) if route_memo is not None else None
         if route is None:
             transaction_roots = Counter(root_of[item] for item in rewritten)
@@ -429,11 +432,7 @@ def hhpgm_scan(task: HHPGMScanTask) -> HHPGMScanResult:
                 sends.append((dest, fragment))
     return HHPGMScanResult(
         stats=stats,
-        counts={c: n for c, n in sorted(counter.counts.items()) if n},
-        probes=counter.probes,
-        generated=counter.generated,
-        dup_counts=dict(dup_counter.counts) if dup_counter is not None else {},
-        dup_probes=dup_counter.probes if dup_counter is not None else 0,
-        dup_generated=dup_counter.generated if dup_counter is not None else 0,
+        local=counter.tally(),
+        duplicated=dup_counter.tally() if dup_counter is not None else None,
         sends=sends,
     )

@@ -4,8 +4,8 @@ different ``PYTHONHASHSEED`` values, must be byte-identical.
 This is the end-to-end check behind lint rule RL001: if any dict/set
 hash order leaked into candidate allocation, message routing, or result
 assembly, the two subprocess transcripts below would diverge.  Each
-subprocess mines NPGM, HPGM and H-HPGM on a seeded synthetic corpus
-with tracing, telemetry and runtime invariants on, then prints a JSON
+subprocess mines NPGM, HPGM, H-HPGM and H-HPGM-FGD on a seeded synthetic
+corpus with tracing, telemetry and runtime invariants on, then prints a JSON
 transcript of itemsets, trace events, per-node message counts, the
 full JSONL observability sink and the Prometheus metrics export —
 so the byte-determinism contract of ``repro.obs`` is enforced here
@@ -49,15 +49,20 @@ params = GeneratorParams(
 dataset = generate_dataset(params)
 
 transcript = {}
-# The last two legs re-run H-HPGM with the reference (naive) kernels and
-# on the process-pool executor: both must be byte-identical to the
-# default fast/serial leg, trace and sink included.
+# The naive and process legs re-run H-HPGM and H-HPGM-FGD with the
+# reference kernels and on the process-pool executor: each must be
+# byte-identical to its fast/serial leg, trace and sink included.  FGD
+# duplicates every candidate here, so its legs cover the per-node
+# tallies absorbed into one duplicated-set counter and folded once.
 legs = (
     ("NPGM", "fast", "serial"),
     ("HPGM", "fast", "serial"),
     ("H-HPGM", "fast", "serial"),
     ("H-HPGM/naive", "naive", "serial"),
     ("H-HPGM/process", "fast", "process"),
+    ("H-HPGM-FGD", "fast", "serial"),
+    ("H-HPGM-FGD/naive", "naive", "serial"),
+    ("H-HPGM-FGD/process", "fast", "process"),
 )
 for name, kernel, executor in legs:
     config = ClusterConfig(
@@ -127,11 +132,18 @@ class TestHashSeedIndependence:
             "H-HPGM",
             "H-HPGM/naive",
             "H-HPGM/process",
+            "H-HPGM-FGD",
+            "H-HPGM-FGD/naive",
+            "H-HPGM-FGD/process",
         }
         # Kernel and executor choices are invisible in every observable
         # byte: traces, sink JSONL, Prometheus text, stats JSON.
-        assert transcript["H-HPGM"] == transcript["H-HPGM/naive"]
-        assert transcript["H-HPGM"] == transcript["H-HPGM/process"]
+        for name in ("H-HPGM", "H-HPGM-FGD"):
+            assert transcript[name] == transcript[f"{name}/naive"]
+            assert transcript[name] == transcript[f"{name}/process"]
+        # FGD really counted a duplicated set (pass 2 at least).
+        fgd_passes = json.loads(transcript["H-HPGM-FGD"]["run_stats_json"])["passes"]
+        assert fgd_passes[1]["duplicated_candidates"] > 0
         for name, record in transcript.items():
             assert record["itemsets"], f"{name} found no itemsets"
             assert any("[pass-end]" in line for line in record["trace"])
@@ -158,5 +170,6 @@ class TestHashSeedIndependence:
             for name, r in transcript.items()
         }
         assert canonical["NPGM"] == canonical["HPGM"] == canonical["H-HPGM"]
-        assert canonical["H-HPGM"] == canonical["H-HPGM/naive"]
-        assert canonical["H-HPGM"] == canonical["H-HPGM/process"]
+        assert canonical["H-HPGM"] == canonical["H-HPGM-FGD"]
+        for name, record in canonical.items():
+            assert record == canonical[name.split("/")[0]], name

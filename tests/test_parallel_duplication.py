@@ -1,6 +1,12 @@
 """Unit tests for repro.parallel.duplication."""
 
+import random
+from collections import Counter
+
+import pytest
+
 from repro.parallel.allocation import build_root_table
+from repro.parallel import duplication
 from repro.parallel.duplication import (
     GreedyPacker,
     lowest_large_items,
@@ -178,3 +184,95 @@ class TestFineGrain:
         )
         if (8, 10) in duplicated:
             assert {(1, 3), (1, 8), (3, 4), (3, 10), (4, 8)} <= duplicated
+
+
+def _scan_all_nodes_try_add(sizes, duplicated, memory, members):
+    """Reference packer step: rescans every node on every group."""
+    fresh = [(c, owner) for c, owner in members if c not in duplicated]
+    if not fresh:
+        return False
+    if memory is not None:
+        removed = Counter(owner for _, owner in fresh)
+        new_dup = len(duplicated) + len(fresh)
+        peak = max(size - removed.get(node, 0) for node, size in enumerate(sizes))
+        if peak + new_dup > memory:
+            return False
+    for candidate, owner in fresh:
+        duplicated.add(candidate)
+        sizes[owner] -= 1
+    return True
+
+
+def _random_packing(rng):
+    """Random owners, overlapping groups and a memory around the fit edge."""
+    nodes = rng.randint(1, 8)
+    candidates = [(i, 1000 + i) for i in range(rng.randint(1, 80))]
+    owner_of = {c: rng.randrange(nodes) for c in candidates}
+    sizes = [0] * nodes
+    for owner in owner_of.values():
+        sizes[owner] += 1
+    groups = []
+    for _ in range(rng.randint(0, 120)):
+        members = rng.sample(candidates, rng.randint(1, min(6, len(candidates))))
+        groups.append([(c, owner_of[c]) for c in members])
+    edge = max(sizes) + len(candidates)
+    memory = rng.choice([None, rng.randint(0, edge), rng.randint(max(sizes), edge)])
+    return sizes, groups, memory
+
+
+class TestGreedyPackerRunningBound:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_decisions_as_full_scan(self, seed):
+        rng = random.Random(seed)
+        sizes, groups, memory = _random_packing(rng)
+        packer = GreedyPacker(sizes, memory)
+        reference_sizes, reference_dup = list(sizes), set()
+        decisions = [packer.try_add(group) for group in groups]
+        expected = [
+            _scan_all_nodes_try_add(reference_sizes, reference_dup, memory, group)
+            for group in groups
+        ]
+        assert decisions == expected
+        assert packer.duplicated == reference_dup
+
+
+def _paper_candidates(rng, paper_taxonomy, nodes):
+    items = sorted(paper_taxonomy.items)
+    pairs = {tuple(sorted(rng.sample(items, 2))) for _ in range(rng.randint(1, 40))}
+    candidates = sorted(pairs)
+    owner_of = {c: rng.randrange(nodes) for c in candidates}
+    sizes = [0] * nodes
+    for owner in owner_of.values():
+        sizes[owner] += 1
+    chains = {
+        item: (item,) + paper_taxonomy.ancestors(item) for item in paper_taxonomy.items
+    }
+    counts = {item: rng.randint(1, 100) for item in items}
+    return candidates, owner_of, sizes, chains, counts
+
+
+class TestAllFitShortcut:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_greedy_at_and_around_the_edge(
+        self, paper_taxonomy, monkeypatch, seed
+    ):
+        rng = random.Random(seed)
+        candidates, owner_of, sizes, chains, counts = _paper_candidates(
+            rng, paper_taxonomy, nodes=rng.randint(1, 5)
+        )
+        root_of = build_root_table(paper_taxonomy)
+
+        def select_both():
+            return (
+                select_fine_grain(candidates, owner_of, counts, chains, sizes, memory),
+                select_tree_grain(candidates, root_of, owner_of, counts, sizes, memory),
+            )
+
+        edge = len(candidates)
+        for memory in (None, edge, edge + 3, edge - 1, max(sizes)):
+            fine, tree = select_both()
+            with monkeypatch.context() as patch:
+                patch.setattr(duplication, "everything_fits", lambda *args: False)
+                assert (fine, tree) == select_both()
+            if memory is None or memory >= edge:
+                assert fine == tree == set(candidates)

@@ -11,6 +11,7 @@ transaction repetition.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from repro.core.counting import (
 )
 from repro.errors import MiningError
 from repro.parallel.allocation import build_root_table
+from repro.perf import kernels
 from repro.perf.kernels import (
     CandidateTrie,
     FastAncestorClosureCounter,
@@ -162,6 +164,75 @@ class TestFastClosureCounters:
         fast = FastRootKeyedClosureCounter(candidates, 2, chains, root_of)
         assert fast.add_transaction((7, 8)) == 0
         assert fast.probes == 0
+
+
+class TestReplicaContract:
+    """Per-node replicas absorbed into one index equal one counter fed
+    every fragment — the contract H-HPGM's coordinator reduce relies on."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "kernel,numpy_fold", [("naive", None), ("fast", True), ("fast", False)]
+    )
+    def test_absorbed_tallies_equal_one_counter(
+        self, paper_taxonomy, monkeypatch, k, kernel, numpy_fold
+    ):
+        if numpy_fold is False:
+            monkeypatch.setattr(kernels, "_np", None)
+        elif numpy_fold and kernels._np is None:
+            pytest.skip("numpy not installed")
+        rng = random.Random(4000 + k)
+        candidates = random_candidates(rng, k, 30)
+        universe = {item for c in candidates for item in c}
+        chains = build_closure_table(
+            AncestorIndex(paper_taxonomy), PAPER_LARGE_ITEMS, universe
+        )
+        root_of = build_root_table(paper_taxonomy)
+        cls = {"naive": RootKeyedClosureCounter, "fast": FastRootKeyedClosureCounter}[
+            kernel
+        ]
+        fragments = random_transactions(rng, 200, tuple(sorted(PAPER_LARGE_ITEMS)))
+
+        single = cls(candidates, k, chains, root_of)
+        for fragment in fragments:
+            single.add_transaction(fragment)
+
+        index = cls(candidates, k, chains, root_of)
+        tallies = []
+        for node in range(4):
+            # Odd nodes count behind a pickle round trip, as under the
+            # process executor.
+            source = pickle.loads(pickle.dumps(index)) if node % 2 else index
+            replica = source.replica()
+            for fragment in fragments[node::4]:
+                replica.add_transaction(fragment)
+            tallies.append(replica.tally())
+        assert (index.probes, index.generated, index.hits) == (0, 0, 0)
+        for tally in tallies:
+            index.absorb(tally)
+        if numpy_fold and k == 2:
+            assert len(index._pending) >= 16  # the numpy fold path runs
+        assert index.counts == single.counts
+        assert (index.probes, index.generated, index.hits) == (
+            single.probes,
+            single.generated,
+            single.hits,
+        )
+        assert index.hits == sum(single.counts.values())
+
+    @pytest.mark.parametrize(
+        "cls", [RootKeyedClosureCounter, FastRootKeyedClosureCounter]
+    )
+    def test_pickle_keeps_the_tally(self, paper_taxonomy, cls):
+        candidates = [(5, 6), (6, 10), (1, 2), (4, 6)]
+        chains = build_closure_table(
+            AncestorIndex(paper_taxonomy), PAPER_LARGE_ITEMS, {1, 2, 4, 5, 6, 10}
+        )
+        counter = cls(candidates, 2, chains, build_root_table(paper_taxonomy))
+        counter.add_transaction((5, 6, 10))
+        restored = pickle.loads(pickle.dumps(counter))
+        assert restored.tally() == counter.tally()
+        assert restored.counts == counter.counts
 
 
 class TestDedupWeighting:
