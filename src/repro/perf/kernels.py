@@ -29,17 +29,24 @@ increments at the stored weight.
 Equivalence against the naive kernels — ``counts``, ``probes``,
 ``generated``, and return values, across all three counter classes —
 is pinned by the seeded property suite in ``tests/test_perf_kernels.py``.
+
+:func:`vertical_support_counts` stands outside that contract: the
+refresh maintainer reads counts only, so it counts a whole row set at
+once by intersecting per-item row bitsets, with no probes to report.
+The same suite pins its counts to the naive counter's.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Collection, Mapping, Sequence
+from collections import Counter, defaultdict
+from collections.abc import Collection, Iterable, Mapping, Sequence
+from itertools import chain
 from math import comb
 
 from repro.core.counting import CounterTally, pickled_tally
 from repro.core.itemsets import Itemset
 from repro.errors import MiningError
+from repro.taxonomy.hierarchy import Taxonomy
 
 try:  # optional accelerator — the pure-Python mask path is always exact
     import numpy as _np
@@ -744,3 +751,69 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
         for candidate in matched:
             counts[candidate] += weight
         return len(matched)
+
+
+def vertical_support_counts(
+    rows: Iterable[Sequence[int]],
+    candidates: Collection[Itemset],
+    k: int,
+    taxonomy: Taxonomy,
+) -> dict[Itemset, int]:
+    """Candidate supports over ancestor-extended ``rows`` by tid-bitset AND.
+
+    Counts exactly what ``SupportCounter`` counts over
+    ``AncestorIndex(taxonomy, keep=universe).extend(row)`` for every
+    row, where ``universe`` is the set of candidate items, but without
+    extending or enumerating any row: one pass over ``rows`` (any
+    iterable, consumed once) records each item's row positions; each
+    distinct item then gets one row bitset, OR-ed into itself and into
+    its candidate-referenced ancestors, so an item's bitset marks the
+    rows whose extension contains it.  A k-itemset candidate's support
+    is the ``bit_count`` of its items' AND; for k > 2, consecutive
+    candidates that share a ``k - 1`` prefix (sorted input) share that
+    prefix's AND.
+
+    Bitsets are built through a ``bytearray`` and ``int.from_bytes``,
+    linear in the number of positions; ``|=`` of single bits on a
+    growing int would copy the int per row.  No probes are reported:
+    the refresh maintainer that calls this reads counts only.
+    """
+    bits = dict.fromkeys(chain.from_iterable(candidates), 0)
+    universe = bits.keys()
+    positions: dict[int, list[int]] = defaultdict(list)
+    size = 0
+    for row in rows:
+        for item in row:
+            positions[item].append(size)
+        size += 1
+
+    nbytes = (size + 7) >> 3
+    for item, where in positions.items():
+        lineage = taxonomy.ancestors_or_self(item) if item in taxonomy else (item,)
+        if universe.isdisjoint(lineage):
+            continue
+        row_bits = bytearray(nbytes)
+        for position in where:
+            row_bits[position >> 3] |= 1 << (position & 7)
+        mask = int.from_bytes(row_bits, "little")
+        for target in lineage:
+            if target in bits:
+                bits[target] |= mask
+
+    if k == 2:
+        return {
+            candidate: (bits[candidate[0]] & bits[candidate[1]]).bit_count()
+            for candidate in candidates
+        }
+    counts: dict[Itemset, int] = {}
+    every_row = (1 << size) - 1
+    prefix: Itemset | None = None
+    prefix_mask = 0
+    for candidate in candidates:
+        if candidate[:-1] != prefix:
+            prefix = candidate[:-1]
+            prefix_mask = every_row
+            for item in prefix:
+                prefix_mask &= bits[item]
+        counts[candidate] = (prefix_mask & bits[candidate[-1]]).bit_count()
+    return counts

@@ -18,13 +18,15 @@ unknown candidates of a pass** — the targeted partial re-mine.  In the
 steady state (no promotion crossing a band boundary) no callback fires
 and a delta costs one pass over its own rows.
 
-Counting semantics are identical to the batch miner's: candidates are
-counted over transactions extended with the candidate-referenced
-ancestors only (:class:`~repro.taxonomy.ops.AncestorIndex` with a
-``keep`` universe), through the same
-:class:`~repro.perf.config.CountingConfig` kernels — a candidate's
-count never depends on which other candidates share the counter, which
-is what makes the incremental and batch counts interchangeable.
+Counting semantics are identical to the batch miner's: a candidate is
+counted in every transaction whose extension with the
+candidate-referenced ancestors (:class:`~repro.taxonomy.ops.AncestorIndex`
+with a ``keep`` universe) contains it, and its count never depends on
+which other candidates are counted alongside, which is what makes the
+incremental and batch counts interchangeable.  :func:`count_over` gets
+that count by row-bitset intersection under the fast kernel and through
+the reference :class:`~repro.core.counting.SupportCounter` under the
+naive one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.core.candidates import candidate_item_universe, generate_candidates
 from repro.core.itemsets import Itemset, minimum_count
 from repro.core.result import PassResult
 from repro.perf.config import CountingConfig
+from repro.perf.kernels import vertical_support_counts
 from repro.taxonomy.hierarchy import Taxonomy
 from repro.taxonomy.ops import AncestorIndex
 
@@ -50,7 +53,15 @@ def count_over(
     taxonomy: Taxonomy,
     counting: CountingConfig,
 ) -> dict[Itemset, int]:
-    """Exact candidate supports over ``rows`` (batch counting semantics)."""
+    """Exact candidate supports over ``rows`` (batch counting semantics).
+
+    The fast kernel intersects per-item row bitsets
+    (:func:`~repro.perf.kernels.vertical_support_counts`); the naive
+    kernel extends every row and feeds the reference counter.  Both
+    consume ``rows`` once and return a count for every candidate.
+    """
+    if counting.fast:
+        return vertical_support_counts(rows, candidates, k, taxonomy)
     universe = candidate_item_universe(candidates)
     index = AncestorIndex(taxonomy, keep=universe)
     counter = counting.support_counter(candidates, k)

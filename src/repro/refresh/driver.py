@@ -280,7 +280,9 @@ class RefreshDriver:
             "min_confidence": self.min_confidence,
             "miner": self.miner.to_payload(),
         }
-        atomic_write_json(self.root / STATE_NAME, payload)
+        # One line, no indent: json.dumps only takes its C encoder when
+        # indent is None, and readers parse either layout alike.
+        atomic_write_json(self.root / STATE_NAME, payload, indent=None)
 
     # ------------------------------------------------------------------
     def ingest(self, transactions: Iterable[Iterable[int]]) -> dict:

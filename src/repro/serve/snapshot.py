@@ -98,6 +98,7 @@ class RuleSnapshot:
         "leaves",
         "source",
         "version",
+        "_body",
     )
 
     def __init__(
@@ -152,9 +153,10 @@ class RuleSnapshot:
             self.leaves = taxonomy.leaves
         else:
             self.leaves = tuple(sorted(universe))
-        self.version = hashlib.sha256(
-            "\n".join(self._body_lines()).encode("utf-8")
-        ).hexdigest()
+        # Serialized once: the digest covers these bytes and to_jsonl
+        # writes them.
+        self._body = "\n".join(self._body_lines())
+        self.version = hashlib.sha256(self._body.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
     def _mask(self, items: tuple[int, ...]) -> int:
@@ -207,7 +209,6 @@ class RuleSnapshot:
 
     def to_jsonl(self) -> str:
         """The full byte-stable document (meta + header + body)."""
-        body = self._body_lines()
         header = _serialize(
             {
                 "type": "header",
@@ -221,7 +222,7 @@ class RuleSnapshot:
             }
         )
         meta = _serialize({"type": "meta", "schema": SCHEMA_NAME, "v": SCHEMA_VERSION})
-        return "\n".join([meta, header, *body]) + "\n"
+        return "\n".join([meta, header, self._body]) + "\n"
 
     def __repr__(self) -> str:
         return (

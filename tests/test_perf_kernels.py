@@ -30,8 +30,10 @@ from repro.perf.kernels import (
     FastAncestorClosureCounter,
     FastRootKeyedClosureCounter,
     FastSupportCounter,
+    vertical_support_counts,
 )
 from repro.perf.preprocess import ExtensionCache, RewriteCache, dedup_with_weights
+from repro.taxonomy.builder import taxonomy_from_parents
 from repro.taxonomy.ops import AncestorIndex
 
 from tests.conftest import PAPER_LARGE_ITEMS
@@ -233,6 +235,69 @@ class TestReplicaContract:
         restored = pickle.loads(pickle.dumps(counter))
         assert restored.tally() == counter.tally()
         assert restored.counts == counter.counts
+
+
+class TestVerticalSupportCounts:
+    """The refresh maintainer's row-bitset kernel counts exactly what the
+    naive counter counts over candidate-filtered ancestor extensions."""
+
+    @staticmethod
+    def naive_counts(rows, candidates, k, taxonomy):
+        universe = {item for candidate in candidates for item in candidate}
+        index = AncestorIndex(taxonomy, keep=universe)
+        counter = SupportCounter(candidates, k, strategy="dict")
+        for row in rows:
+            counter.add_transaction(index.extend(row))
+        return counter.counts
+
+    @staticmethod
+    def random_taxonomy(rng: random.Random, size: int):
+        """A forest over items 1..size; each non-root's parent is earlier."""
+        roots = rng.randint(1, 4)
+        return taxonomy_from_parents(
+            {
+                item: None if item <= roots else rng.randint(1, item - 1)
+                for item in range(1, size + 1)
+            }
+        )
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equivalent_to_naive_over_extended_rows(self, k, seed):
+        rng = random.Random(5000 * k + seed)
+        size = rng.randint(6, 40)
+        taxonomy = self.random_taxonomy(rng, size)
+        outside = (size + 1, size + 2, size + 3)  # not in the taxonomy
+        never = size + 9  # in candidates, in no row
+        pool = tuple(range(1, size + 1)) + outside
+        rows = [
+            tuple(rng.sample(pool, rng.randint(0, min(9, len(pool)))))
+            for _ in range(rng.randint(1, 300))
+        ]
+        rows += rng.choices(rows, k=len(rows)) + [(), ()]
+        rng.shuffle(rows)
+        candidates = sorted(
+            {tuple(sorted(rng.sample(pool + (never,), k))) for _ in range(60)}
+        )
+        expected = self.naive_counts(rows, candidates, k, taxonomy)
+        one_shot = (row for row in rows)
+        assert vertical_support_counts(one_shot, candidates, k, taxonomy) == expected
+        assert any(expected.values())
+
+    def test_ancestors_outside_items_and_no_rows(self, paper_taxonomy):
+        # 10 extends to its grandparent 4; 98 and 99 are not in the taxonomy.
+        candidates = [(4, 15), (7, 99), (98, 99)]
+        counts = vertical_support_counts(
+            [(10, 12), (15,)], candidates, 2, paper_taxonomy
+        )
+        assert counts == {(4, 15): 0, (7, 99): 0, (98, 99): 0}
+        counts = vertical_support_counts(
+            [(10, 15), (7, 99), (98,), (12, 15, 10)], candidates, 2, paper_taxonomy
+        )
+        assert counts == {(4, 15): 2, (7, 99): 1, (98, 99): 0}
+        assert vertical_support_counts(iter(()), candidates, 2, paper_taxonomy) == {
+            candidate: 0 for candidate in candidates
+        }
 
 
 class TestDedupWeighting:

@@ -9,11 +9,16 @@ itemset, count for count.
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.core.cumulate import cumulate
 from repro.datagen.corpus import TransactionDatabase
+from repro.datagen.generator import generate_patterns, iter_transactions
 from repro.errors import MiningError
+from repro.perf.config import CountingConfig
 from repro.refresh.delta import IncrementalMiner
 from repro.taxonomy.builder import taxonomy_from_parents
 
@@ -39,7 +44,14 @@ def _assert_batch_equal(miner, window_rows, taxonomy, min_support, max_k=None):
 
 
 class TestDeltaSweep:
-    """Sweep delta sizes × seeds over a sliding window."""
+    """Sweep delta sizes × seeds over a sliding window.
+
+    ``counting`` picks the kernel that counts band updates and rescans;
+    :class:`TestDeltaSweepNaive` runs every case again through the
+    naive reference kernel.
+    """
+
+    counting = CountingConfig()
 
     @pytest.mark.parametrize("window_deltas", [2, 3])
     @pytest.mark.parametrize("sizes", [
@@ -51,7 +63,7 @@ class TestDeltaSweep:
         taxonomy = small_dataset.taxonomy
         rows = list(small_dataset.database)
         min_support = 0.08
-        miner = IncrementalMiner(taxonomy, min_support)
+        miner = IncrementalMiner(taxonomy, min_support, counting=self.counting)
 
         window: list[list[tuple[int, ...]]] = []
         offset = 0
@@ -69,7 +81,7 @@ class TestDeltaSweep:
     def test_empty_delta_changes_nothing(self, small_dataset):
         taxonomy = small_dataset.taxonomy
         rows = list(small_dataset.database)[:100]
-        miner = IncrementalMiner(taxonomy, 0.08)
+        miner = IncrementalMiner(taxonomy, 0.08, counting=self.counting)
         miner.apply_delta(rows, [], _window_callable(rows))
         before = miner.result()
         stats = miner.apply_delta([], [], _window_callable(rows))
@@ -80,7 +92,7 @@ class TestDeltaSweep:
     def test_full_eviction_then_refill(self, paper_taxonomy):
         rows_a = [(10, 12, 14), (9, 15), (7, 10), (8, 10, 12)]
         rows_b = [(13, 14), (7, 8, 15), (10, 14, 15), (9, 12, 13)]
-        miner = IncrementalMiner(paper_taxonomy, 0.3)
+        miner = IncrementalMiner(paper_taxonomy, 0.3, counting=self.counting)
         miner.apply_delta(rows_a, [], _window_callable(rows_a))
         miner.apply_delta(rows_b, rows_a, _window_callable(rows_b))
         _assert_batch_equal(miner, rows_b, paper_taxonomy, 0.3)
@@ -88,10 +100,51 @@ class TestDeltaSweep:
     def test_max_k_truncation_matches_batch(self, small_dataset):
         taxonomy = small_dataset.taxonomy
         rows = list(small_dataset.database)[:150]
-        miner = IncrementalMiner(taxonomy, 0.06, max_k=2)
+        miner = IncrementalMiner(taxonomy, 0.06, max_k=2, counting=self.counting)
         miner.apply_delta(rows[:100], [], _window_callable(rows[:100]))
         miner.apply_delta(rows[100:], [], _window_callable(rows))
         _assert_batch_equal(miner, rows, taxonomy, 0.06, max_k=2)
+
+    def test_drifting_deltas_move_the_border(self, small_dataset):
+        """Rows drift between two pattern pools and the window evicts,
+        so every delta after the base promotes *and* demotes itemsets
+        (band updates and rescans both count); the result still equals
+        a batch mine after each delta."""
+        params, taxonomy = small_dataset.params, small_dataset.taxonomy
+        pools = (
+            small_dataset.patterns,
+            generate_patterns(params, taxonomy, random.Random(8)),
+        )
+
+        def draw(pool, seed):
+            sized = replace(params, num_transactions=60)
+            return iter(iter_transactions(sized, taxonomy, pool, random.Random(seed)))
+
+        min_support, window_deltas = 0.15, 2
+        miner = IncrementalMiner(taxonomy, min_support, counting=self.counting)
+        window: list[list[tuple[int, ...]]] = []
+        for index in range(7):
+            share_b = (0.0, 0.5, 1.0, 0.5)[index % 4]
+            mix = random.Random(index)
+            from_a, from_b = draw(pools[0], 100 + index), draw(pools[1], 200 + index)
+            added = [
+                next(from_b) if mix.random() < share_b else next(from_a)
+                for _ in range(60)
+            ]
+            window.append(added)
+            evicted = window.pop(0) if len(window) > window_deltas else []
+            flat = [row for delta in window for row in delta]
+            stats = miner.apply_delta(added, evicted, _window_callable(flat))
+            if index:
+                assert stats.promotions > 0 and stats.demotions > 0, stats
+                assert stats.rescanned > 0
+            _assert_batch_equal(miner, flat, taxonomy, min_support)
+
+
+class TestDeltaSweepNaive(TestDeltaSweep):
+    """The whole sweep through the naive reference kernel."""
+
+    counting = CountingConfig.naive()
 
 
 class TestStateAndErrors:

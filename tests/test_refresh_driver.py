@@ -8,6 +8,7 @@ those same bytes, and ``CURRENT`` is never torn.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -19,10 +20,13 @@ from repro.obs.sink import EventSink
 from repro.refresh.driver import (
     CURRENT_NAME,
     STAGES,
+    STATE_NAME,
     RefreshDriver,
     read_pointer,
     snapshot_name,
 )
+
+from tests.test_refresh_determinism import _published, _run_sequence
 
 MIN_SUPPORT = 0.15
 MIN_CONFIDENCE = 0.6
@@ -230,6 +234,62 @@ class TestReopenAndRecovery:
         again = RefreshDriver.open(root)
         assert again.current().to_jsonl() == oracle
         assert not again.registry.value("refresh.recoveries")
+
+
+class TestCheckpointCompatibility:
+    """``state.json`` is written on one line; a root whose checkpoint
+    is in the older indented layout still opens and continues."""
+
+    #: sha256 of the last snapshot the ``test_refresh_determinism`` CLI
+    #: sequence publishes: neither the delta counting kernel nor the
+    #: checkpoint layout may move a published byte.
+    CLI_SEQUENCE_SHA256 = (
+        "024c9bf08229f935e189346022fdd36a8fe3608b5d915cf0c4cfb7f7e73dbd16"
+    )
+
+    def test_indented_checkpoint_reopens_and_continues(
+        self, small_dataset, tmp_path
+    ):
+        root = tmp_path / "root"
+        batches = _batches(small_dataset, [150, 80, 80, 90])
+        driver = RefreshDriver.create(
+            root,
+            small_dataset.taxonomy,
+            MIN_SUPPORT,
+            min_confidence=MIN_CONFIDENCE,
+            window_deltas=2,
+        )
+        for batch in batches[:2]:
+            driver.ingest(batch)
+        state_path = root / STATE_NAME
+        compact = state_path.read_text(encoding="utf-8")
+        assert compact.count("\n") == 1 and compact.endswith("\n")
+        state = json.loads(compact)
+        state_path.write_text(
+            json.dumps(state, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+
+        reopened = RefreshDriver.open(root)
+        assert reopened.applied_through == 1
+        assert not reopened.registry.value("refresh.recoveries")
+        for batch in batches[2:]:
+            summary = reopened.ingest(batch)
+            assert summary["published"]
+            assert reopened.current().to_jsonl() == (
+                reopened.batch_snapshot().to_jsonl()
+            )
+        # The next checkpoint is written compactly again.
+        rewritten = state_path.read_text(encoding="utf-8")
+        assert rewritten.count("\n") == 1
+        assert json.loads(rewritten)["applied_through"] == 3
+
+    def test_cli_sequence_publishes_pinned_bytes(self, tmp_path):
+        root = tmp_path / "root"
+        proc = _run_sequence(root, "1")
+        assert proc.returncode == 0, proc.stderr
+        _, body = _published(root)
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        assert digest == self.CLI_SEQUENCE_SHA256
 
 
 class TestRolloutHandoff:

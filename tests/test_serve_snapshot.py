@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,36 @@ class TestCompile:
             assert list(postings) == sorted(postings)
             for rule_id in postings:
                 assert item in serve_snapshot.rules[rule_id].antecedent
+
+
+class TestGoldenBytes:
+    """What ``repro-serve`` loads is pinned byte for byte: the body is
+    serialized once and reused, and that may never change a byte."""
+
+    def test_paper_fixture(self, serve_snapshot):
+        text = serve_snapshot.to_jsonl()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "3934c01d24755e4e80e4d309041a04a75cc78ebc6adca772181c9653d6d96ee9"
+        )
+        assert parse_snapshot(text).to_jsonl() == text
+
+    def test_small_dataset(self, small_dataset):
+        from repro.core.cumulate import cumulate
+        from repro.core.rules import generate_rules
+
+        result = cumulate(small_dataset.database, small_dataset.taxonomy, 0.15)
+        rules = generate_rules(result, 0.6, small_dataset.taxonomy)
+        snapshot = compile_snapshot(
+            rules,
+            small_dataset.taxonomy,
+            result=result,
+            source={"fixture": "small_dataset"},
+        )
+        assert snapshot.num_rules == 1393
+        digest = hashlib.sha256(snapshot.to_jsonl().encode("utf-8")).hexdigest()
+        assert digest == (
+            "b52b4677aa1d854b6b0d93390208546d0a7acfc8e847cd244c49d5bbb59ec287"
+        )
 
 
 class TestParseRejections:
