@@ -414,6 +414,16 @@ class RootKeyedClosureCounter:
         self.hits += hits
         return hits
 
+    def add_transactions(
+        self, fragments: Iterable[tuple[int, ...]], weight: int = 1
+    ) -> int:
+        """Count each fragment ``weight`` times; returns the total hits."""
+        total = 0
+        for fragment in fragments:
+            for _ in range(weight):
+                total += self.add_transaction(fragment)
+        return total
+
 
 def feasible_sorted_multisets(
     available: Counter,

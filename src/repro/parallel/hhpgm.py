@@ -144,7 +144,9 @@ class HHPGM(ParallelMiner):
 
         # Every pass-k counter index is built once, here: one per
         # partition (it also absorbs the receive phase) and one for the
-        # duplicated set, in sorted order.  Each node's scan counts into
+        # duplicated set, in candidate order (which is sorted: the
+        # candidates come sorted from apriori-gen, and the ancestor
+        # filter keeps their order).  Each node's scan counts into
         # zeroed replicas of them and hands back tallies, so the per-node
         # work is the counting itself; the index build and the fold are
         # paid once per pass.
@@ -154,7 +156,9 @@ class HHPGM(ParallelMiner):
             for partition in partitions
         ]
         dup_counter = (
-            counting.root_keyed_counter(sorted(duplicated), k, chains, root_of)
+            counting.root_keyed_counter(
+                [c for c in candidates if c in duplicated], k, chains, root_of
+            )
             if duplicated
             else None
         )
@@ -192,12 +196,13 @@ class HHPGM(ParallelMiner):
                 for dest, fragment in scan.sends:
                     network.send(me, dest, fragment, stats, node_stats[dest])
 
-        # Receive phase: count routed fragments against the local partition.
+        # Receive phase: count each node's routed fragments against its
+        # partition, as one batch.
         for node in cluster.nodes:
             with self.obs.node_span("deliver", node):
-                counter = part_counters[node.node_id]
-                for payload in network.drain(node.node_id):
-                    counter.add_transaction(payload)
+                part_counters[node.node_id].add_transactions(
+                    network.drain(node.node_id)
+                )
 
         # Fold counter telemetry into the node stats.  A node's share of
         # the duplicated-set counting is its own tally's.
