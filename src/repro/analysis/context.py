@@ -1,6 +1,6 @@
 """Per-file analysis context shared by every rule.
 
-One :class:`ModuleContext` is built per linted file: the parsed AST with
+One :class:`ModuleContext` is built per analyzed file: the parsed AST with
 parent links, the inferred dotted module name (which the scoped rules
 match their package lists against), and small AST classification
 helpers used by several rules.
@@ -13,10 +13,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: ``# repro-lint: module=repro.parallel.foo`` — overrides the module
+#: ``# repro-analyze: module=repro.parallel.foo`` — overrides the module
 #: name inferred from the file path.  Used by rule fixtures, which live
 #: outside the package tree but must exercise package-scoped rules.
-_MODULE_MARKER = re.compile(r"#\s*repro-lint:\s*module=([\w.]+)")
+_MODULE_MARKER = re.compile(r"#\s*repro-analyze:\s*module=([\w.]+)")
 
 #: Dict views are iteration-order hazards; everything reached through
 #: one of these attributes is treated as unordered.

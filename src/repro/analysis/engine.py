@@ -1,18 +1,16 @@
-"""Lint engine: file discovery, rule dispatch, suppression comments.
+"""Analyzer plumbing: file discovery and suppression comments.
 
-Suppression syntax (see ``docs/static_analysis.md``):
+Suppression syntax (see ``docs/static_analysis.md``), one marker for
+every rule:
 
-* ``some_code()  # repro-lint: disable=RL001`` — suppresses the listed
-  rule(s) on that line; a justification after the rule list is
+* ``some_code()  # repro-analyze: disable=RL001`` — suppresses the
+  listed rule(s) on that line; a justification after the rule list is
   encouraged and ignored by the parser.
-* a comment-only line ``# repro-lint: disable=RL001 — why`` suppresses
-  the listed rules on the *next* line (for statements too long to
-  carry the comment).
-* ``# repro-lint: disable-file=RL003`` anywhere in the first 20 lines
-  suppresses the rule for the whole file.
-
-A file that does not parse yields a single ``RL000`` finding at the
-syntax-error location rather than crashing the run.
+* a comment-only line ``# repro-analyze: disable=RA001 — why``
+  suppresses the listed rules on the *next* code line (for statements
+  too long to carry the comment).
+* ``# repro-analyze: disable-file=RL003`` anywhere in the first 20
+  lines suppresses the rule for the whole file.
 """
 
 from __future__ import annotations
@@ -21,20 +19,12 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
-from repro.analysis.rules import ALL_RULES, Rule
 
-def _disable_pattern(marker: str) -> re.Pattern:
-    """The suppression-comment regex for one tool marker.
-
-    Compiled per call; :mod:`re` memoizes compilation internally, and
-    there are only two markers in practice.
-    """
-    return re.compile(
-        rf"#\s*{re.escape(marker)}:\s*disable(?P<file>-file)?\s*=\s*"
-        r"(?P<rules>[A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*)"
-    )
+_DISABLE = re.compile(
+    r"#\s*repro-analyze:\s*disable(?P<file>-file)?\s*=\s*"
+    r"(?P<rules>[A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*)"
+)
 
 
 @dataclass
@@ -45,11 +35,10 @@ class Suppressions:
     whole_file: set[str] = field(default_factory=set)
 
     @classmethod
-    def parse(cls, lines: list[str], marker: str = "repro-lint") -> "Suppressions":
+    def parse(cls, lines: list[str]) -> "Suppressions":
         supp = cls()
-        disable = _disable_pattern(marker)
         for lineno, text in enumerate(lines, start=1):
-            match = disable.search(text)
+            match = _DISABLE.search(text)
             if not match:
                 continue
             rules = {r.strip() for r in match.group("rules").split(",")}
@@ -77,19 +66,6 @@ class Suppressions:
         return finding.rule not in self.by_line.get(finding.line, set())
 
 
-@dataclass
-class LintResult:
-    """Outcome of linting a set of paths."""
-
-    findings: list[Finding] = field(default_factory=list)
-    files_checked: int = 0
-    suppressed: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-
 def iter_python_files(paths: list[Path]) -> list[Path]:
     """Expand files and directories into a sorted, de-duplicated file list."""
     files: set[Path] = set()
@@ -99,82 +75,3 @@ def iter_python_files(paths: list[Path]) -> list[Path]:
         elif path.suffix == ".py":
             files.add(path)
     return sorted(files)
-
-
-def _select_rules(
-    rules: tuple[Rule, ...],
-    select: set[str] | None,
-    ignore: set[str] | None,
-) -> tuple[Rule, ...]:
-    chosen = rules
-    if select:
-        chosen = tuple(r for r in chosen if r.rule_id in select)
-    if ignore:
-        chosen = tuple(r for r in chosen if r.rule_id not in ignore)
-    return chosen
-
-
-def lint_source(
-    source: str,
-    path: Path,
-    rules: tuple[Rule, ...] = ALL_RULES,
-    display_path: str | None = None,
-) -> tuple[list[Finding], int]:
-    """Lint one in-memory source; returns (findings, suppressed count)."""
-    shown = display_path if display_path is not None else str(path)
-    try:
-        ctx = ModuleContext.build(path, source, display_path=shown)
-    except SyntaxError as error:
-        return (
-            [
-                Finding(
-                    path=shown,
-                    line=error.lineno or 1,
-                    column=(error.offset or 0) + 1,
-                    rule="RL000",
-                    message=f"file does not parse: {error.msg}",
-                )
-            ],
-            0,
-        )
-    suppressions = Suppressions.parse(ctx.lines)
-    kept: list[Finding] = []
-    suppressed = 0
-    for rule in rules:
-        for finding in rule.check(ctx):
-            if suppressions.allows(finding):
-                kept.append(finding)
-            else:
-                suppressed += 1
-    kept.sort()
-    return kept, suppressed
-
-
-def lint_file(
-    path: Path,
-    rules: tuple[Rule, ...] = ALL_RULES,
-    display_path: str | None = None,
-) -> list[Finding]:
-    """Lint one file from disk (suppression-filtered findings)."""
-    source = path.read_text(encoding="utf-8")
-    findings, _ = lint_source(source, path, rules=rules, display_path=display_path)
-    return findings
-
-
-def lint_paths(
-    paths: list[Path],
-    select: set[str] | None = None,
-    ignore: set[str] | None = None,
-    rules: tuple[Rule, ...] = ALL_RULES,
-) -> LintResult:
-    """Lint files and directories; the CLI's workhorse."""
-    chosen = _select_rules(rules, select, ignore)
-    result = LintResult()
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        findings, suppressed = lint_source(source, file_path, rules=chosen)
-        result.findings.extend(findings)
-        result.suppressed += suppressed
-        result.files_checked += 1
-    result.findings.sort()
-    return result

@@ -1,7 +1,7 @@
-"""Whole-program flow analysis (``repro-analyze``).
+"""Whole-program flow analysis and the ``repro-analyze`` entry point.
 
-Where :mod:`repro.analysis` lints one file at a time, this package
-analyses the project as a unit:
+Besides running the per-module rules of :mod:`repro.analysis.rules`
+over every parsed module, this package analyses the project as a unit:
 
 * **Pass A** (:mod:`.symbols`) builds a project-wide symbol table and
   call graph;
@@ -24,16 +24,16 @@ from __future__ import annotations
 
 from repro.analysis.flow.engine import (
     FLOW_RULES,
+    RULES,
     AnalysisResult,
     analyze_paths,
-    flow_rule_catalog,
 )
 from repro.analysis.flow.symbols import Project
 
 __all__ = [
     "FLOW_RULES",
+    "RULES",
     "AnalysisResult",
     "Project",
     "analyze_paths",
-    "flow_rule_catalog",
 ]

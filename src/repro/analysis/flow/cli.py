@@ -1,10 +1,14 @@
-"""``repro-analyze`` — the whole-program flow analyzer CLI.
+"""``repro-analyze`` — the repository's static analyzer CLI.
+
+Runs the whole-program rules (RA000–RA005) and the per-module rules
+(RL001–RL013) in one pass over one parse of each file.
 
 Usage::
 
     repro-analyze src/repro                       # human-readable report
     repro-analyze src/ --format json              # machine-readable (CI)
     repro-analyze src/ --format sarif             # GitHub code scanning
+    repro-analyze src/ --select RA001,RL001       # only some rules
     repro-analyze src/ --baseline analysis-baseline.json
     repro-analyze src/ --write-baseline analysis-baseline.json
     repro-analyze --list-rules                    # rule catalogue
@@ -28,12 +32,7 @@ from repro.analysis.flow.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.flow.engine import (
-    FLOW_RULES,
-    AnalysisResult,
-    analyze_paths,
-    flow_rule_catalog,
-)
+from repro.analysis.flow.engine import RULES, AnalysisResult, analyze_paths
 from repro.analysis.sarif import render_sarif
 
 EXIT_CLEAN = 0
@@ -45,8 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
         description=(
-            "whole-program dataflow analysis: determinism taint, "
-            "process-pool safety, miner protocol conformance"
+            "static analysis: determinism taint, process-pool safety and "
+            "miner protocol conformance across modules, plus per-module "
+            "determinism and invariant rules"
         ),
     )
     parser.add_argument(
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="RULES",
-        help="comma-separated rule ids to run exclusively (e.g. RA001,RA005)",
+        help="comma-separated rule ids to run exclusively (e.g. RA001,RL006)",
     )
     parser.add_argument(
         "--ignore",
@@ -151,11 +151,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in FLOW_RULES:
+        for rule in RULES:
             print(f"{rule['id']}  {rule['name']:<22} {rule['summary']}")
         return EXIT_CLEAN
 
-    known = set(flow_rule_catalog())
+    known = {rule["id"] for rule in RULES}
     try:
         select = _parse_rule_list(args.select, known)
         ignore = _parse_rule_list(args.ignore, known)
@@ -199,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "json":
         output = _render_json(result, baselined, stale)
     elif args.format == "sarif":
-        output = render_sarif(result.findings, "repro-analyze", FLOW_RULES)
+        output = render_sarif(result.findings, "repro-analyze", RULES)
     else:
         output = _render_text(result, baselined, stale)
     print(output)

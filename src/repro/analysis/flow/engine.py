@@ -2,10 +2,11 @@
 
 ``analyze_paths`` is the workhorse shared by the CLI and the tests: it
 expands the given roots into a sorted file list, builds the Pass A
-:class:`~repro.analysis.flow.symbols.Project`, runs the three checking
-passes (filtered by ``--select``/``--ignore``), and applies inline
-suppressions (marker ``# repro-analyze:``, same grammar as
-``repro-lint``'s — see :mod:`repro.analysis.engine`).
+:class:`~repro.analysis.flow.symbols.Project`, runs the three
+whole-program checking passes and then the per-module rules of
+:mod:`repro.analysis.rules` over each parsed module (all filtered by
+``--select``/``--ignore``), and applies inline suppressions (marker
+``# repro-analyze:`` — see :mod:`repro.analysis.engine`).
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from repro.analysis.flow.poolsafety import analyze_pool_safety
 from repro.analysis.flow.protocol import analyze_protocol
 from repro.analysis.flow.symbols import Project
 from repro.analysis.flow.taint import analyze_taint
+from repro.analysis.rules import ALL_RULES
 
-SUPPRESSION_MARKER = "repro-analyze"
-
-#: Rule catalogue of the flow analyzer (id order; consumed by the CLI,
-#: SARIF serializer and the docs table).
+#: The whole-program rules, in id order.
 FLOW_RULES: list[dict] = [
     {
         "id": "RA000",
@@ -65,9 +64,13 @@ FLOW_RULES: list[dict] = [
 ]
 
 
-def flow_rule_catalog() -> dict[str, dict]:
-    """Rule id → metadata dict."""
-    return {rule["id"]: rule for rule in FLOW_RULES}
+#: The one rule catalogue, in id order: the whole-program rules, then
+#: the per-module rules.  The CLI (``--list-rules``, ``--select`` and
+#: ``--ignore``), the SARIF driver and the docs table all read it.
+RULES: list[dict] = FLOW_RULES + [
+    {"id": rule.rule_id, "name": rule.name, "summary": rule.summary}
+    for rule in ALL_RULES
+]
 
 
 @dataclass
@@ -128,7 +131,9 @@ def analyze_paths(
     result = AnalysisResult(files_checked=len(files))
 
     raw: list[Finding] = []
-    if _enabled("RA000", select, ignore):
+    # No rule can read a file that does not parse, so ``select`` never
+    # hides RA000: a selective run is not clean over an unread file.
+    if ignore is None or "RA000" not in ignore:
         for shown in sorted(project.parse_errors):
             error = project.parse_errors[shown]
             raw.append(
@@ -158,14 +163,18 @@ def analyze_paths(
         )
         result.miners_checked = miners
 
-    # Inline suppressions, per file (same grammar as repro-lint, marker
-    # ``# repro-analyze:``).
-    suppressions: dict[str, Suppressions] = {}
-    for module_name in project.modules:
-        module = project.modules[module_name]
-        suppressions[module.ctx.display_path] = Suppressions.parse(
-            module.ctx.lines, marker=SUPPRESSION_MARKER
-        )
+    # Per-module rules, over the contexts Pass A already parsed.
+    module_rules = [
+        rule for rule in ALL_RULES if _enabled(rule.rule_id, select, ignore)
+    ]
+    for shown in sorted(project.contexts):
+        for rule in module_rules:
+            raw.extend(rule.check(project.contexts[shown]))
+
+    suppressions = {
+        shown: Suppressions.parse(ctx.lines)
+        for shown, ctx in project.contexts.items()
+    }
     kept: list[Finding] = []
     for finding in raw:
         supp = suppressions.get(finding.path)

@@ -115,6 +115,10 @@ class Project:
         #: caller qualname → callee qualnames (project functions only),
         #: in call-site source order, de-duplicated.
         self.calls: dict[str, list[str]] = {}
+        #: every parsed file: display path → context.  Keyed by path,
+        #: not module name: outside the package tree a module name is
+        #: the file stem, so two ``conftest.py`` would collide.
+        self.contexts: dict[str, ModuleContext] = {}
         #: files that failed to parse: display path → SyntaxError.
         self.parse_errors: dict[str, SyntaxError] = {}
 
@@ -132,6 +136,7 @@ class Project:
             except SyntaxError as error:
                 project.parse_errors[shown] = error
                 continue
+            project.contexts[shown] = ctx
             project._index_module(ctx)
         project._link_calls()
         return project
@@ -244,10 +249,6 @@ class Project:
             resolved = f"{info.name}.{head}"
             return f"{resolved}.{rest}" if rest else resolved
         return None
-
-    def resolve_name(self, module: ModuleInfo, name: str) -> str | None:
-        """Canonical dotted name of a bare local name, if known."""
-        return self._resolve_dotted(module, name)
 
     def resolve_call(
         self,

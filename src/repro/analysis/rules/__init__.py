@@ -1,8 +1,8 @@
 """Rule registry.
 
-``ALL_RULES`` lists one instance of every rule, in rule-id order; the
-engine and CLI consume the registry, never the classes directly, so new
-rules only need to be added here.
+``ALL_RULES`` lists one instance of every per-module rule, in rule-id
+order; the analyzer and its rule catalogue consume the registry, never
+the classes directly, so new rules only need to be added here.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ from repro.analysis.findings import Finding
 
 
 class Rule(ABC):
-    """One lint rule.
+    """One per-module rule.
 
     Attributes
     ----------
     rule_id:
-        Stable identifier (``RL001`` … ``RL006``) used in output,
+        Stable identifier (``RL001`` … ``RL013``) used in output,
         ``--select``/``--ignore`` and suppression comments.
     name:
         Short kebab-case name for ``--list-rules``.
@@ -23,7 +23,7 @@ class Rule(ABC):
         One-line description of what the rule enforces.
     """
 
-    rule_id: str = "RL000"
+    rule_id: str = ""
     name: str = "abstract"
     summary: str = ""
 

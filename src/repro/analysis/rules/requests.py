@@ -20,7 +20,7 @@ begin call is accepted when one of these demonstrably closes it:
 Anything else — a close only in an ``except`` arm, only behind an
 ``if``, or in no local path at all — is flagged.  Hand-off designs
 (e.g. a context that rides the batching queue to a worker that closes
-it) are legitimate but must carry a ``# repro-lint: disable=RL010``
+it) are legitimate but must carry a ``# repro-analyze: disable=RL010``
 justification.
 """
 

@@ -1,7 +1,6 @@
-"""SARIF 2.1.0 serialization, shared by ``repro-lint`` and ``repro-analyze``.
+"""SARIF 2.1.0 serialization for ``repro-analyze``.
 
-One serializer so both tools upload to GitHub code scanning with the
-same shape.  Output is canonical: findings pre-sorted by the caller's
+Output is canonical: findings pre-sorted by the caller's
 ``Finding`` ordering, keys sorted, URIs repo-relative where possible —
 ``json.dumps`` of the result is byte-stable across runs and hash seeds.
 """
@@ -40,7 +39,7 @@ def to_sarif(
     findings:
         Already-sorted findings.
     tool_name:
-        ``repro-lint`` or ``repro-analyze``.
+        The driver name (``repro-analyze``).
     rules:
         Rule metadata dicts with ``id``, ``name`` and ``summary`` keys,
         in rule-id order.

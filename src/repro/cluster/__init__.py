@@ -16,7 +16,7 @@ equivalent substrate as a deterministic simulator:
   and aggregates per-pass statistics.
 * :mod:`~repro.cluster.invariants` — optional pass-boundary runtime
   checks (message conservation, stats/network cross-checks, memory
-  bound); the dynamic counterpart of the ``repro-lint`` static rules.
+  bound); the dynamic counterpart of the ``repro-analyze`` static rules.
 * :class:`~repro.cluster.cost.CostModel` — converts counted work (I/O
   items, hash probes, bytes moved) into a simulated wall-clock time per
   pass: the bulk-synchronous maximum over nodes plus the coordinator's

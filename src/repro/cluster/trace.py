@@ -26,7 +26,7 @@ class TraceEvent:
     detail: dict
 
     def __str__(self) -> str:
-        # repro-lint: disable=RL001 — ``detail`` holds record() kwargs, whose
+        # repro-analyze: disable=RL001 — ``detail`` holds record() kwargs, whose
         # order is the event's schema order (fixed per call site), not hash
         # order; sorting would scramble the documented trace format.
         rendered = " ".join(f"{k}={v}" for k, v in self.detail.items())

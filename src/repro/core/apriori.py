@@ -18,7 +18,7 @@ from repro.errors import MiningError
 def apriori(
     database: TransactionDatabase,
     min_support: float,
-    strategy: str = "auto",
+    strategy: str = "dict",
     max_k: int | None = None,
 ) -> MiningResult:
     """Find all large itemsets of a flat transaction database.

@@ -6,9 +6,9 @@ Three kernels:
   once per transaction.
 * :class:`SupportCounter` — pass k >= 2 for Cumulate/Apriori/NPGM/HPGM
   styles: given an (already extended) transaction, find which candidates
-  it contains.  Strategy ``"dict"`` enumerates k-subsets and probes a
-  hash map; ``"hashtree"`` traverses a classic Apriori hash tree;
-  ``"auto"`` picks by candidate density.
+  it contains.  Strategy ``"dict"`` (the default) enumerates k-subsets
+  and probes a hash map; ``"hashtree"`` traverses a classic Apriori
+  hash tree (Stratify's choice).
 * :class:`AncestorClosureCounter` — the H-HPGM-family kernel: the
   transaction holds only *lowest large* items, and every generated
   k-itemset is counted together with all of its **ancestor candidates**
@@ -33,37 +33,11 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import comb
 
 from repro.core.hash_tree import HashTree
 from repro.core.itemsets import Itemset
 from repro.errors import MiningError
 from repro.taxonomy.ops import AncestorIndex
-
-#: ``strategy="auto"`` crossover: when the candidates fill at least this
-#: fraction of the k-subset space over their own item universe, blind
-#: subset enumeration ("dict") probes mostly hits and wins; below it the
-#: hash tree's shared-prefix pruning skips most of the misses.
-AUTO_DENSITY_CROSSOVER = 1.0 / 64.0
-
-
-def choose_strategy(num_candidates: int, k: int, universe_size: int) -> str:
-    """Pick ``"dict"`` or ``"hashtree"`` from candidate density.
-
-    The dict strategy enumerates every k-subset of the (filtered)
-    transaction and probes a hash map — work independent of how many
-    candidates exist.  The hash tree only descends branches shared with
-    the transaction, so its work shrinks with candidate sparsity.  The
-    candidate *density* — ``|C| / C(|universe|, k)`` — is therefore the
-    deciding ratio: at least :data:`AUTO_DENSITY_CROSSOVER` picks
-    ``"dict"``, below it ``"hashtree"``.
-    """
-    if num_candidates == 0 or universe_size < k:
-        return "dict"
-    subset_space = comb(universe_size, k)
-    if num_candidates >= subset_space * AUTO_DENSITY_CROSSOVER:
-        return "dict"
-    return "hashtree"
 
 
 def count_items(
@@ -102,42 +76,33 @@ class SupportCounter:
     k:
         Itemset size.
     strategy:
-        ``"dict"`` — enumerate the transaction's k-subsets and probe a
-        hash map (good when transactions are short after filtering).
-        ``"hashtree"`` — classic Apriori hash tree traversal (good when
-        candidates are sparse relative to the subset space).
-        ``"auto"`` — picked by :func:`choose_strategy` from the
-        candidate density over the candidates' own item universe.
+        ``"dict"`` (default) — enumerate the transaction's k-subsets and
+        probe a hash map; the probe metrics every figure reports are
+        defined against it.  ``"hashtree"`` — classic Apriori hash tree
+        traversal (good when candidates are sparse relative to the
+        subset space).
     """
 
     def __init__(
         self,
         candidates: Collection[Itemset],
         k: int,
-        strategy: str = "auto",
+        strategy: str = "dict",
     ):
         if k <= 0:
             raise MiningError(f"k must be positive, got {k}")
-        if strategy not in ("auto", "dict", "hashtree"):
+        if strategy not in ("dict", "hashtree"):
             raise MiningError(f"unknown counting strategy {strategy!r}")
         self.k = k
         self.counts: dict[Itemset, int] = {c: 0 for c in candidates}
         self.probes = 0
         self.generated = 0
         self._universe = {item for c in self.counts for item in c}
-        if strategy == "auto":
-            strategy = choose_strategy(len(self.counts), k, len(self._universe))
-        self._strategy = strategy
         self._tree: HashTree | None = None
-        if self._strategy == "hashtree":
+        if strategy == "hashtree":
             self._tree = HashTree(k)
             for candidate in self.counts:
                 self._tree.insert(candidate)
-
-    @property
-    def strategy(self) -> str:
-        """The resolved counting strategy (``"auto"`` never survives)."""
-        return self._strategy
 
     def add_transaction(self, transaction: tuple[int, ...]) -> int:
         """Count one extended, sorted transaction; returns hits."""

@@ -35,7 +35,7 @@ def cumulate(
     database: "TransactionDatabase | None",
     taxonomy: Taxonomy,
     min_support: float,
-    strategy: str = "auto",
+    strategy: str = "dict",
     max_k: int | None = None,
     counting: "CountingConfig | None" = None,
 ) -> MiningResult:
@@ -56,8 +56,8 @@ def cumulate(
         Fractional minimum support in (0, 1].
     strategy:
         Counting strategy passed to
-        :class:`~repro.core.counting.SupportCounter` (ignored when
-        ``counting`` is given).
+        :class:`~repro.core.counting.SupportCounter`: ``"dict"`` or
+        ``"hashtree"`` (ignored when ``counting`` is given).
     max_k:
         Optional cap on the itemset size (useful for pass-2-only
         experiments, which is what the paper's evaluation measures).

@@ -37,9 +37,7 @@ class NPA(FlatParallelMiner):
         total: dict[Itemset, int] = {}
         for node in cluster.nodes:
             stats = node.stats
-            # Pinned to "dict" so NPA's probe metrics stay independent
-            # of the "auto" density heuristic.
-            counter = SupportCounter(candidates, k, strategy="dict")
+            counter = SupportCounter(candidates, k)
             for transaction in node.disk.scan(stats):
                 counter.add_transaction(transaction)
             stats.io_items *= fragments

@@ -35,12 +35,7 @@ class SPA(FlatParallelMiner):
         partitions: list[list[Itemset]] = [
             candidates[n::num_nodes] for n in range(num_nodes)
         ]
-        # Strategy pinned to "dict": SPA's probe counts are part of the
-        # flat-family comparison surface and must not move with the
-        # "auto" density heuristic.
-        counters = [
-            SupportCounter(partition, k, strategy="dict") for partition in partitions
-        ]
+        counters = [SupportCounter(partition, k) for partition in partitions]
         for node, partition in zip(cluster.nodes, partitions):
             node.charge_candidates(len(partition))
 

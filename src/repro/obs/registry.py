@@ -118,26 +118,6 @@ class Histogram:
             out.append(running)
         return out
 
-    def quantile(self, fraction: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the nearest-rank sample; the top finite bound when the
-        sample landed in ``+Inf``).  Exact percentiles come from raw
-        request records — this is the coarse view ``repro-slo watch``
-        reads off a live ``/metrics`` scrape."""
-        if not 0 <= fraction <= 1:
-            raise ObservabilityError(f"quantile fraction must be in [0, 1], got {fraction}")
-        if self.count == 0:
-            return 0.0
-        rank = max(1, min(self.count, round(fraction * self.count)))
-        running = 0
-        for position, bucket_count in enumerate(self.counts):
-            running += bucket_count
-            if running >= rank:
-                if position < len(self.buckets):
-                    return self.buckets[position]
-                return self.buckets[-1] if self.buckets else 0.0
-        return self.buckets[-1] if self.buckets else 0.0
-
 
 class MetricsRegistry:
     """Get-or-create registry of labelled metric series.

@@ -54,11 +54,6 @@ def snapshot_delta(
     }
 
 
-def price_delta(delta: dict[str, int], cost) -> float:
-    """Total simulated seconds of a counter delta (cost-model linear)."""
-    return sum(component_times(delta, cost).values())
-
-
 def component_times(delta: dict[str, int], cost) -> dict[str, float]:
     """Decompose a counter delta into the phase taxonomy's durations.
 

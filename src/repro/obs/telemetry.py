@@ -141,7 +141,7 @@ class Telemetry:
     def begin_run(self, algorithm: str, num_nodes: int) -> None:
         if self.sink is not None:
             self.sink.emit("run-begin", algorithm=algorithm, nodes=num_nodes)
-        # repro-lint: disable=RL007,RL010 — the run span deliberately stays
+        # repro-analyze: disable=RL007,RL010 — the run span deliberately stays
         # open across the whole mining run; end_run drains the stack (and
         # ParallelMiner.mine always pairs the two calls).
         self.open_span("run", algorithm=algorithm, nodes=num_nodes)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from itertools import combinations, product
+from itertools import product
 
 from repro.core.counting import feasible_sorted_multisets
 from repro.core.itemsets import Itemset
@@ -236,8 +236,3 @@ def ancestor_closure(
         if len(variant) == k and variant != candidate and variant in candidate_set:
             closure.add(variant)
     return closure
-
-
-def candidate_pairs_from(items: tuple[int, ...], k: int) -> Iterable[Itemset]:
-    """All sorted k-subsets of an already sorted item tuple."""
-    return combinations(items, k)

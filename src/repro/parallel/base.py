@@ -29,7 +29,7 @@ from repro.errors import MiningError
 from repro.faults.recovery import RecoveryProfile
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.parallel.allocation import build_root_table
-from repro.perf.config import CountingConfig, default_counting
+from repro.perf.config import CountingConfig
 from repro.perf.executor import execute_per_node
 from repro.perf.workers import Pass1Task, apply_stats, pass1_scan
 from repro.taxonomy.hierarchy import Taxonomy
@@ -61,9 +61,9 @@ class ParallelMiner(ABC):
     counting:
         :class:`~repro.perf.config.CountingConfig` selecting the
         counting kernels (fast trie vs naive enumeration) and the
-        distinct-transaction memoization.  Defaults to the process-wide
-        default (``REPRO_KERNEL`` / ``REPRO_DEDUP`` aware).  Never
-        changes results or statistics — only wall-clock time.
+        distinct-transaction memoization.  Defaults to
+        ``CountingConfig()``.  Never changes results or statistics —
+        only wall-clock time.
     """
 
     name = "abstract"
@@ -82,7 +82,7 @@ class ParallelMiner(ABC):
     ):
         self.cluster = cluster
         self.taxonomy = taxonomy
-        self.counting = counting if counting is not None else default_counting()
+        self.counting = counting if counting is not None else CountingConfig()
         self.root_of = build_root_table(taxonomy)
         self._full_index = AncestorIndex(taxonomy)
         # Per-run state, populated by mine().

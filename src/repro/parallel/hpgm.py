@@ -151,18 +151,11 @@ class HPGM(ParallelMiner):
                             folder.add_mask(mask)
                         continue
                     if entry is None:
-                        if k == 2:
-                            hit_subsets = [
-                                pair
-                                for pair in zip(payload[0::2], payload[1::2])
-                                if pair in my_counts
-                            ]
-                        else:
-                            hit_subsets = []
-                            for start in range(0, len(payload), k):
-                                subset = payload[start : start + k]
-                                if subset in my_counts:
-                                    hit_subsets.append(subset)
+                        hit_subsets = []
+                        for start in range(0, len(payload), k):
+                            subset = payload[start : start + k]
+                            if subset in my_counts:
+                                hit_subsets.append(subset)
                         entry = ((len(payload) + k - 1) // k, tuple(hit_subsets))
                         if receive_memo is not None:
                             receive_memo[payload] = entry

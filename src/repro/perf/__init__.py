@@ -23,7 +23,7 @@ reproduction fast without changing anything the reproduction measures:
 See ``docs/performance.md`` for the designs and the contract.
 """
 
-from repro.perf.config import CountingConfig, default_counting
+from repro.perf.config import CountingConfig
 from repro.perf.executor import execute_per_node
 from repro.perf.kernels import (
     CandidateTrie,
@@ -40,7 +40,6 @@ __all__ = [
     "FastAncestorClosureCounter",
     "FastRootKeyedClosureCounter",
     "FastSupportCounter",
-    "default_counting",
     "dedup_with_weights",
     "execute_per_node",
 ]

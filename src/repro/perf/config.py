@@ -7,14 +7,14 @@ the fast kernels are bound by the probe-preservation contract (see
 :mod:`repro.perf.kernels`) — only how much wall-clock time counting
 takes.
 
-``REPRO_KERNEL=naive|fast`` and ``REPRO_DEDUP=0|1`` override the
-defaults process-wide, which is how the benchmark harness and CI pit
-the two implementations against each other without code changes.
+It is the only way to choose how counting runs: no environment
+variable changes it.  Callers that omit it get ``CountingConfig()``;
+the benchmark harness, the tests and ``repro-mine --kernel/--store``
+pass the configuration they compare explicitly.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 
@@ -45,11 +45,6 @@ class CountingConfig:
         hits by multiplicity.  Also enables the routing/extension memos
         in the miners' scan loops.  Metrics are weight-scaled so they
         stay identical to per-transaction counting.
-    strategy:
-        Engine for the *naive* :class:`SupportCounter` (``"dict"``,
-        ``"hashtree"`` or ``"auto"``).  Defaults to ``"dict"`` — the
-        semantics the probe counters are defined against; the fast
-        kernel always reports dict-strategy metrics.
     store:
         Optional path of a columnar transaction store directory (see
         :mod:`repro.store`).  Entry points that accept a counting
@@ -61,7 +56,6 @@ class CountingConfig:
 
     kernel: str = "fast"
     dedup: bool = True
-    strategy: str = "dict"
     store: str | None = None
 
     def __post_init__(self) -> None:
@@ -69,8 +63,6 @@ class CountingConfig:
             raise MiningError(
                 f"unknown counting kernel {self.kernel!r}; known: {', '.join(KERNELS)}"
             )
-        if self.strategy not in ("auto", "dict", "hashtree"):
-            raise MiningError(f"unknown counting strategy {self.strategy!r}")
 
     @property
     def fast(self) -> bool:
@@ -90,7 +82,7 @@ class CountingConfig:
             from repro.perf.kernels import FastSupportCounter
 
             return FastSupportCounter(candidates, k, memoize=self.dedup)
-        return SupportCounter(candidates, k, strategy=self.strategy)
+        return SupportCounter(candidates, k)
 
     def closure_counter(
         self,
@@ -122,14 +114,3 @@ class CountingConfig:
                 candidates, k, ancestor_table, root_of, memoize=self.dedup
             )
         return RootKeyedClosureCounter(candidates, k, ancestor_table, root_of)
-
-
-def default_counting() -> CountingConfig:
-    """The process-wide default, honouring ``REPRO_KERNEL`` /
-    ``REPRO_DEDUP`` / ``REPRO_STORE``."""
-    kernel = os.environ.get("REPRO_KERNEL", "fast")
-    dedup_raw = os.environ.get("REPRO_DEDUP")
-    dedup = kernel == "fast" if dedup_raw is None else dedup_raw not in ("0", "false")
-    return CountingConfig(
-        kernel=kernel, dedup=dedup, store=os.environ.get("REPRO_STORE") or None
-    )

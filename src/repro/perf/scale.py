@@ -101,7 +101,7 @@ def run_child(spec: dict) -> dict:
     if spec.get("materialize"):
         # The RSS baseline: decode every row into tuples up front, the
         # exact allocation pattern the store replaces with mmap views.
-        # repro-lint: disable=RL011 — this IS the materialized baseline
+        # repro-analyze: disable=RL011 — this IS the materialized baseline
         # the rule exists to prevent; the RSS delta is the evidence.
         rows = store.to_list()
         cluster = Cluster.from_database(config, TransactionDatabase(rows))

@@ -34,7 +34,7 @@ from repro.core.counting import count_items
 from repro.core.itemsets import Itemset, minimum_count
 from repro.core.result import MiningResult, PassResult
 from repro.errors import MiningError
-from repro.perf.config import CountingConfig, default_counting
+from repro.perf.config import CountingConfig
 from repro.refresh.borderline import count_over, levelwise_fixpoint
 from repro.taxonomy.hierarchy import Taxonomy
 from repro.taxonomy.ops import AncestorIndex
@@ -82,7 +82,7 @@ class IncrementalMiner:
         self.taxonomy = taxonomy
         self.min_support = min_support
         self.max_k = max_k
-        self.counting = counting if counting is not None else default_counting()
+        self.counting = counting if counting is not None else CountingConfig()
         self.n = 0
         self.item_counts: dict[int, int] = {}
         self.bands: dict[int, dict[Itemset, int]] = {}

@@ -49,7 +49,7 @@ from repro.core.rules import generate_rules
 from repro.errors import StoreFormatError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sink import EventSink
-from repro.perf.config import CountingConfig, default_counting
+from repro.perf.config import CountingConfig
 from repro.refresh.delta import DeltaStats, IncrementalMiner
 from repro.refresh.log import DeltaRecord, TransactionLog
 from repro.serve.snapshot import (
@@ -185,7 +185,7 @@ class RefreshDriver:
             raise StoreFormatError(
                 f"{root} already holds refresh state; use RefreshDriver.open"
             )
-        counting = counting if counting is not None else default_counting()
+        counting = counting if counting is not None else CountingConfig()
         log = TransactionLog.create(
             root / "log", taxonomy, window_deltas=window_deltas
         )
@@ -241,7 +241,7 @@ class RefreshDriver:
                 f"{state_path}: schema {state.get('schema')!r} "
                 f"(this reader understands {DRIVER_SCHEMA!r})"
             )
-        counting = counting if counting is not None else default_counting()
+        counting = counting if counting is not None else CountingConfig()
         log = TransactionLog.open(root / "log")
         miner = IncrementalMiner.from_payload(
             state["miner"], log.taxonomy, counting=counting

@@ -267,7 +267,7 @@ class ServeService:
         """
         canonical = tuple(sorted(set(basket)))
         if ctx is None:
-            # repro-lint: disable=RL010 — the context rides the queue;
+            # repro-analyze: disable=RL010 — the context rides the queue;
             # the draining worker closes it before resolving the waiter,
             # and a rejected submission is failed in the except arm
             # below.

@@ -111,10 +111,6 @@ class _Segment:
         start = offsets[local_index]
         return tuple(self.item_column[start : offsets[local_index + 1]])
 
-    def row_items(self, local_index: int) -> int:
-        offsets = self.offsets
-        return offsets[local_index + 1] - offsets[local_index]
-
 
 class TransactionStore:
     """A read-only columnar transaction store (see :mod:`repro.store`).

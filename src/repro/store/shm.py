@@ -118,10 +118,6 @@ class SharedArena:
     def num_nodes(self) -> int:
         return len(self._directory)
 
-    def arena_bytes(self) -> int:
-        """Size of the shared block in bytes."""
-        return self._block.size
-
     def view(self, node_index: int) -> "ShmView":
         """The picklable per-node handle over this arena."""
         if not 0 <= node_index < len(self._directory):

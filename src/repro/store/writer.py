@@ -162,10 +162,6 @@ class StoreWriter:
         if exc_type is None:
             self.close()
 
-    @property
-    def rows_written(self) -> int:
-        return self._rows
-
 
 def write_store(
     transactions: Iterator[Iterable[int]] | Iterable[Iterable[int]],

@@ -1,4 +1,4 @@
-# repro-lint: module=repro.parallel.fixture_rl001
+# repro-analyze: module=repro.parallel.fixture_rl001
 """RL001 fixture: unordered iteration reaching sends/allocation/results.
 
 Lines carrying a violation are tagged ``# expect: RLxxx``; everything

@@ -1,4 +1,4 @@
-# repro-lint: module=repro.metrics.fixture_rl003
+# repro-analyze: module=repro.metrics.fixture_rl003
 """RL003 fixture: float equality in the cost model / metrics scope."""
 
 import math

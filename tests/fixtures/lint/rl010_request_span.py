@@ -4,7 +4,7 @@ The marker below places this file inside the serve tier so the rule is
 in scope (RL010 only patrols ``repro.serve`` / ``repro.obs``); every
 rule still runs, so the raw ``open_span`` case is tagged for RL007 too.
 """
-# repro-lint: module=repro.serve.fixture
+# repro-analyze: module=repro.serve.fixture
 
 
 def leaky(tracer, work):
@@ -61,6 +61,6 @@ def clean_immediate_close(tracer):
 
 def clean_handoff(tracer, queue):
     # A suppressed hand-off: the draining worker owns the close.
-    # repro-lint: disable=RL010 — the worker closes contexts it dequeues.
+    # repro-analyze: disable=RL010 — the worker closes contexts it dequeues.
     ctx = tracer.begin_request("batched")
     queue.append(ctx)

@@ -1,5 +1,5 @@
 """RL011 fixture: whole-store materialization."""
-# repro-lint: module=repro.perf.fixture_store
+# repro-analyze: module=repro.perf.fixture_store
 
 from repro.store import open_store
 

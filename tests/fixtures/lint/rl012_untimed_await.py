@@ -1,5 +1,5 @@
 """RL012 fixture: untimed blocking awaits and unbounded queues."""
-# repro-lint: module=repro.serve.fixture_async
+# repro-analyze: module=repro.serve.fixture_async
 
 import asyncio
 

@@ -1,5 +1,5 @@
 """RL013 fixture: raw writes on publish artifacts."""
-# repro-lint: module=repro.perf.fixture_publish
+# repro-analyze: module=repro.perf.fixture_publish
 
 import json
 

@@ -1,5 +1,5 @@
-# repro-lint: module=repro.cluster.cost.fixture_suppressed
-# repro-lint: disable-file=RL003
+# repro-analyze: module=repro.cluster.cost.fixture_suppressed
+# repro-analyze: disable-file=RL003
 """Suppression fixture: every violation below is silenced.
 
 Exercises all three suppression forms — trailing comment, comment-line
@@ -10,12 +10,12 @@ import time
 
 
 def inline_suppression(counts: dict):
-    for key, value in counts.items():  # repro-lint: disable=RL001 — test
+    for key, value in counts.items():  # repro-analyze: disable=RL001 — test
         yield key, value
 
 
 def comment_above(clock_reads: list):
-    # repro-lint: disable=RL002 — this fixture documents the comment-above
+    # repro-analyze: disable=RL002 — this fixture documents the comment-above
     # form, whose justification may span several comment lines before the
     # suppressed statement.
     clock_reads.append(time.time())

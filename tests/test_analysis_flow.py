@@ -5,7 +5,10 @@ that the shipped tree is clean.
 Fixture *packages* under ``tests/fixtures/flow/`` are analyzed one
 scenario directory at a time (the analyzer is whole-program, so a
 scenario is a mini-project); violation lines carry ``# expect: RAxxx``
-tags and the tests assert exact (file, rule, line) agreement.
+tags and the tests assert exact (file, rule, line) agreement with the
+whole-program rules.  What the per-module rules find in the same
+scenarios is pinned separately
+(:meth:`TestFixturePackages.test_per_module_findings`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import FLOW_RULES, analyze_paths, flow_rule_catalog
+from repro.analysis import ALL_RULES
+from repro.analysis.flow import FLOW_RULES, RULES, analyze_paths
 from repro.analysis.flow.baseline import (
     BaselineError,
     apply_baseline,
@@ -43,6 +47,9 @@ _EXPECT = re.compile(r"#\s*expect:\s*([A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*)")
 
 SCENARIOS = sorted(p.name for p in FIXTURES.iterdir() if p.is_dir())
 
+#: The whole-program rule ids, for ``select=``.
+RA_IDS = {rule["id"] for rule in FLOW_RULES}
+
 
 def expected_findings(scenario: Path) -> set[tuple[str, str, int]]:
     """(file, rule, line) triples declared by a scenario's tags."""
@@ -60,11 +67,29 @@ class TestFixturePackages:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_findings_match_expectations(self, scenario):
         directory = FIXTURES / scenario
-        result = analyze_paths([directory])
+        result = analyze_paths([directory], select=RA_IDS)
         actual = {
             (Path(f.path).name, f.rule, f.line) for f in result.findings
         }
         assert actual == expected_findings(directory)
+
+    def test_per_module_findings(self):
+        """With every rule on, the scenarios also trip two per-module
+        rules: the worker's module-level dict is an unbounded cache, and
+        both taint emitters send without a drain in the same module."""
+        extra = set()
+        for scenario in SCENARIOS:
+            own = expected_findings(FIXTURES / scenario)
+            extra |= {
+                (Path(f.path).name, f.rule, f.line)
+                for f in analyze_paths([FIXTURES / scenario]).findings
+                if (Path(f.path).name, f.rule, f.line) not in own
+            }
+        assert extra == {
+            ("pool_bad_workers.py", "RL009", 3),
+            ("emit_mod.py", "RL006", 14),
+            ("emit_ok.py", "RL006", 10),
+        }
 
     def test_bad_scenarios_have_clean_twins(self):
         bad = {s for s in SCENARIOS if s.endswith("_bad")}
@@ -80,7 +105,7 @@ class TestFixturePackages:
         assert "set(" not in emitter and "set()" not in emitter
 
     def test_pool_bad_rejects_unpicklable_and_impure_workers(self):
-        result = analyze_paths([FIXTURES / "pool_bad"])
+        result = analyze_paths([FIXTURES / "pool_bad"], select=RA_IDS)
         rules = sorted(f.rule for f in result.findings)
         assert rules == ["RA002", "RA002", "RA003"]
         assert result.boundaries_checked == 3
@@ -123,7 +148,7 @@ class TestProtocolSpecs:
         only = analyze_paths([directory], select={"RA002"})
         assert {f.rule for f in only.findings} == {"RA002"}
         without = analyze_paths([directory], ignore={"RA002"})
-        assert {f.rule for f in without.findings} == {"RA003"}
+        assert {f.rule for f in without.findings} == {"RA003", "RL009"}
 
 
 class TestSelfCheck:
@@ -147,14 +172,15 @@ class TestSelfCheck:
         assert result.boundaries_checked >= 4
 
     def test_suppression_budget(self):
-        """Inline repro-analyze suppressions in src/ stay rare and justified."""
+        """Inline suppressions of whole-program rules in src/ stay rare
+        and justified (at most 2)."""
         justified = 0
         analysis_pkg = SRC / "repro" / "analysis"
         for path in SRC.rglob("*.py"):
             if analysis_pkg in path.parents:
                 continue
             for line in path.read_text().splitlines():
-                if "repro-analyze: disable" in line:
+                if "repro-analyze: disable" in line and re.search(r"RA\d{3}", line):
                     justified += 1
                     assert "—" in line or "because" in line.lower(), (
                         f"unjustified suppression in {path}: {line.strip()}"
@@ -175,11 +201,12 @@ class TestSuppressions:
         )
         path = tmp_path / "suppressed_mod.py"
         path.write_text(source)
-        result = analyze_paths([path])
+        result = analyze_paths([path], select={"RA001"})
         assert result.clean
         assert result.suppressed == 1
 
     def test_lint_marker_does_not_suppress_analyzer(self, tmp_path):
+        """The retired ``# repro-lint:`` marker suppresses nothing."""
         source = (
             "def noisy(network, stats, items):\n"
             "    bag = set(items)\n"
@@ -191,7 +218,7 @@ class TestSuppressions:
         )
         path = tmp_path / "wrong_marker_mod.py"
         path.write_text(source)
-        result = analyze_paths([path])
+        result = analyze_paths([path], select={"RA001"})
         assert [f.rule for f in result.findings] == ["RA001"]
 
 
@@ -290,11 +317,19 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert analyze_main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for rule in FLOW_RULES:
+        for rule in RULES:
             assert rule["id"] in out
 
     def test_rule_catalog_is_complete(self):
-        assert sorted(flow_rule_catalog()) == [f"RA00{i}" for i in range(6)]
+        """One catalogue: RA000–RA005, then every per-module rule."""
+        assert [rule["id"] for rule in RULES] == [
+            f"RA00{i}" for i in range(6)
+        ] + [rule.rule_id for rule in ALL_RULES]
+
+    def test_docs_table_follows_the_catalogue(self):
+        doc = (REPO_ROOT / "docs" / "static_analysis.md").read_text()
+        rows = re.findall(r"^\| (R[AL]\d{3}) \|", doc, flags=re.MULTILINE)
+        assert rows == [rule["id"] for rule in RULES]
 
 
 class TestSarifOutput:
@@ -305,10 +340,10 @@ class TestSarifOutput:
         assert log["version"] == "2.1.0"
         run = log["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-analyze"
-        assert {rule["id"] for rule in run["tool"]["driver"]["rules"]} == set(
-            flow_rule_catalog()
-        )
-        assert len(run["results"]) == 3
+        assert [rule["id"] for rule in run["tool"]["driver"]["rules"]] == [
+            rule["id"] for rule in RULES
+        ]
+        assert len(run["results"]) == 4  # RA002 twice, RA003, RL009
         for item in run["results"]:
             location = item["locations"][0]["physicalLocation"]
             assert location["artifactLocation"]["uri"].endswith(".py")

@@ -9,7 +9,6 @@ from repro.core.counting import (
     AncestorClosureCounter,
     SupportCounter,
     build_closure_table,
-    choose_strategy,
     count_items,
     feasible_sorted_multisets,
 )
@@ -68,7 +67,10 @@ class TestSupportCounter:
         counter = SupportCounter([(1, 2)], k=2)
         assert counter.add_transaction((1,)) == 0
 
-    @pytest.mark.parametrize("bad", [{"k": 0}, {"k": 2, "strategy": "quantum"}])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"k": 0}, {"k": 2, "strategy": "quantum"}, {"k": 2, "strategy": "auto"}],
+    )
     def test_invalid_construction(self, bad):
         kwargs = {"candidates": [], "k": 2, **bad}
         with pytest.raises(MiningError):
@@ -152,48 +154,6 @@ class TestBuildClosureTable:
         index = AncestorIndex(paper_taxonomy)
         table = build_closure_table(index, [10], {1})
         assert table[10] == (10, 1)
-
-
-class TestChooseStrategy:
-    """Pin the ``strategy="auto"`` density crossover.
-
-    k=2 candidates made of n disjoint pairs span a 2n-item universe, so
-    their density is n / C(2n, 2) = 1 / (2n - 1): n = 32 sits exactly at
-    the 1/64 crossover (dict), n = 33 falls just below it (hashtree).
-    """
-
-    def test_crossover_at_one_sixty_fourth(self):
-        at_crossover = [(2 * i, 2 * i + 1) for i in range(32)]
-        below_crossover = [(2 * i, 2 * i + 1) for i in range(33)]
-        assert choose_strategy(32, 2, 64) == "dict"
-        assert choose_strategy(33, 2, 66) == "hashtree"
-        assert SupportCounter(at_crossover, 2, strategy="auto").strategy == "dict"
-        assert (
-            SupportCounter(below_crossover, 2, strategy="auto").strategy
-            == "hashtree"
-        )
-
-    def test_degenerate_inputs_pick_dict(self):
-        assert choose_strategy(0, 2, 100) == "dict"
-        assert choose_strategy(5, 3, 2) == "dict"
-        assert SupportCounter([], 2, strategy="auto").strategy == "dict"
-
-    def test_dense_candidates_pick_dict(self):
-        from itertools import combinations
-
-        dense = list(combinations(range(10), 2))  # the full subset space
-        assert SupportCounter(dense, 2, strategy="auto").strategy == "dict"
-
-    def test_auto_strategies_count_identically(self):
-        sparse = [(2 * i, 2 * i + 1) for i in range(40)]
-        auto = SupportCounter(sparse, 2, strategy="auto")
-        reference = SupportCounter(sparse, 2, strategy="dict")
-        assert auto.strategy == "hashtree"
-        transaction = tuple(range(0, 20))
-        assert auto.add_transaction(transaction) == reference.add_transaction(
-            transaction
-        )
-        assert auto.counts == reference.counts
 
 
 def _reference_feasible_sorted_multisets(available: Counter, k: int):

@@ -21,6 +21,8 @@ from repro.parallel.registry import ALGORITHMS, make_miner
 from repro.perf.config import CountingConfig
 from repro.perf.executor import execute_per_node
 from repro.errors import ClusterError
+from repro.refresh.delta import IncrementalMiner
+from repro.refresh.driver import RefreshDriver
 
 MINSUP = 0.02
 MAX_K = 3
@@ -101,6 +103,27 @@ class TestMatchesCumulate:
         assert [p.large for p in run.result.passes] == [
             p.large for p in sequential.passes
         ]
+
+
+class TestDefaultCounting:
+    def test_environment_does_not_choose_counting(
+        self, monkeypatch, tmp_path, small_dataset
+    ):
+        """Callers that omit ``counting`` get ``CountingConfig()``: the
+        environment never picks the kernel, the dedup or the store."""
+        monkeypatch.setenv("REPRO_KERNEL", "naive")
+        monkeypatch.setenv("REPRO_DEDUP", "0")
+        monkeypatch.setenv("REPRO_STORE", "/nonexistent")
+        cluster = Cluster.from_database(
+            ClusterConfig(num_nodes=2), small_dataset.database
+        )
+        taxonomy = small_dataset.taxonomy
+        miner = make_miner("H-HPGM", cluster, taxonomy)
+        incremental = IncrementalMiner(taxonomy, MINSUP)
+        driver = RefreshDriver.create(tmp_path / "refresh", taxonomy, MINSUP)
+        assert miner.counting == CountingConfig()
+        assert incremental.counting == CountingConfig()
+        assert driver.counting == CountingConfig()
 
 
 class TestExecutorBackend:
