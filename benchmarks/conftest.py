@@ -45,8 +45,8 @@ def record_json():
 
     Experiment results expose ``to_json()`` (sorted keys, embedded
     ``RunStats.to_dict()`` records), so two runs at the same scale can
-    be diffed byte-for-byte — ``benchmarks/BENCH_baseline.json`` is the
-    committed reference at the default scale.
+    be diffed byte-for-byte — ``results/table6.json`` is the committed
+    reference at the default scale.
     """
 
     def record(name: str, json_text: str) -> None:

@@ -227,11 +227,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         dataset = common.experiment_dataset(args.dataset, args.transactions, args.seed)
         database, taxonomy = dataset.database, dataset.taxonomy
         dataset_label = args.dataset
-    counting = CountingConfig(
-        kernel=args.kernel,
-        dedup=args.kernel == "fast",
-        store=args.store,
-    )
+    counting = CountingConfig(kernel=args.kernel, dedup=args.kernel == "fast")
     if args.algorithm.lower() == "cumulate":
         result = cumulate(
             database,

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 
 def cumulate(
-    database: "TransactionDatabase | None",
+    database: "TransactionDatabase",
     taxonomy: Taxonomy,
     min_support: float,
     strategy: str = "dict",
@@ -47,9 +47,7 @@ def cumulate(
         The transaction source: an in-memory
         :class:`~repro.datagen.corpus.TransactionDatabase` or an opened
         :class:`~repro.store.reader.TransactionStore` (both are scanned
-        identically).  May be ``None`` when ``counting.store`` names a
-        store directory, which is then opened (digest-verified) and
-        mined out-of-core.
+        identically; a store is mined out-of-core).
     taxonomy:
         Classification hierarchy over the items.
     min_support:
@@ -64,22 +62,13 @@ def cumulate(
     counting:
         Optional :class:`~repro.perf.config.CountingConfig`: route
         counting through the fast trie kernels with distinct-transaction
-        deduplication, and/or point the run at an on-disk store via
-        ``counting.store``.  Results are identical either way.
+        deduplication.  Results are identical either way.
 
     Returns
     -------
     MiningResult
         Per-pass large itemsets with raw support counts.
     """
-    if database is None:
-        if counting is None or counting.store is None:
-            raise MiningError(
-                "cumulate needs a database or a counting config with store="
-            )
-        from repro.store import open_store
-
-        database = open_store(counting.store)
     num_transactions = len(database)
     if num_transactions == 0:
         raise MiningError("cannot mine an empty database")

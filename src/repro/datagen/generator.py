@@ -236,7 +236,7 @@ def generate_dataset_to_store(
     of ``params.num_transactions`` — and the taxonomy is saved next to
     the manifest (``taxonomy.txt``), so the store directory is a
     self-contained mining input for ``repro-mine mine --store`` /
-    ``CountingConfig(store=...)``.  Returns the manifest path.
+    ``repro-bench --store``.  Returns the manifest path.
 
     The store holds exactly the rows :func:`generate_dataset` would
     produce for the same ``params`` (same RNG stream, same

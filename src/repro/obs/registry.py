@@ -14,7 +14,6 @@ in which series were first touched.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Sequence
 
@@ -246,9 +245,6 @@ class MetricsRegistry:
             for (name, labels), series in sorted(self._histograms.items())
         ]
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition (metric names ``repro_``-prefixed,

@@ -85,12 +85,6 @@ class EventSink:
             else:
                 self.dropped += 1
 
-    def dump(self) -> str:
-        """The in-memory stream as one string (file-backed sinks raise)."""
-        if self._handle is not None:
-            raise ObservabilityError("file-backed sink keeps no in-memory events")
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()

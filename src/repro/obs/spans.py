@@ -138,7 +138,3 @@ class SpanLog:
         """The ``count`` longest spans (ties broken by span id)."""
         ranked = sorted(self.spans, key=lambda span: (-span.duration, span.span_id))
         return ranked[:count]
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.dropped = 0

@@ -43,7 +43,7 @@ def make_miner(
 
 
 def mine_parallel(
-    database: TransactionDatabase | None,
+    database: TransactionDatabase,
     taxonomy: Taxonomy,
     min_support: float,
     algorithm: str = "H-HPGM-FGD",
@@ -57,10 +57,9 @@ def mine_parallel(
     ----------
     database:
         Transactions; partitioned evenly over the nodes' local disks.
-        May be ``None`` when ``counting.store`` names an on-disk
-        columnar store — the cluster is then built from strided store
-        views (:meth:`~repro.cluster.machine.Cluster.from_store`) and
-        mines out-of-core with byte-identical digests.
+        To mine an on-disk columnar store out-of-core, build the
+        cluster with :meth:`~repro.cluster.machine.Cluster.from_store`
+        and call :func:`make_miner` instead.
     taxonomy:
         Classification hierarchy over the items.
     min_support:
@@ -82,16 +81,7 @@ def mine_parallel(
         cluster statistics.
     """
     config = config if config is not None else ClusterConfig.sp2_like()
-    if database is None:
-        if counting is None or counting.store is None:
-            raise MiningError(
-                "mine_parallel needs a database or a counting config with store="
-            )
-        from repro.store import open_store
-
-        cluster = Cluster.from_store(config, open_store(counting.store))
-    else:
-        cluster = Cluster.from_database(config, database)
+    cluster = Cluster.from_database(config, database)
     miner = make_miner(algorithm, cluster, taxonomy, counting=counting)
     try:
         return miner.mine(min_support, max_k=max_k)

@@ -18,7 +18,9 @@ reproduction fast without changing anything the reproduction measures:
   ``ProcessPoolExecutor`` over the simulated nodes with deterministic
   node-order merge (selected by ``ClusterConfig.executor``).
 * :mod:`repro.perf.bench` — the ``repro-bench`` wall-clock trajectory
-  harness emitting schema-versioned ``BENCH_<label>.json`` files.
+  harness; :mod:`repro.perf.history` — the one bench record format
+  (``BENCH_<label>.json`` + ``HISTORY.jsonl``) every harness writes,
+  and the ``repro-bench compare`` watchdog over it.
 
 See ``docs/performance.md`` for the designs and the contract.
 """

@@ -16,14 +16,13 @@ with the naive baseline** — the wall-clock trajectory is only valid
 evidence while the metric-preservation contract holds.  CI runs
 ``repro-bench --quick`` on every push for exactly this reason.
 
-Results are written as schema-versioned JSON (``BENCH_<label>.json``);
-successive PRs commit refreshed files, so the repository history *is*
-the performance trajectory.  Every run also appends a normalized record
-to ``HISTORY.jsonl`` next to the result file, and ``repro-bench compare
-REPORT.json --history benchmarks/HISTORY.jsonl`` checks a fresh report
-against that trajectory, flagging per-kernel/per-algorithm regressions
-beyond a noise band (see :mod:`repro.perf.history` and
-``docs/performance.md``).
+Each run writes one bench record (``BENCH_<label>.json``, kind
+``mining``) and appends it to ``HISTORY.jsonl`` next to it; successive
+PRs commit refreshed records, so the repository history *is* the
+performance trajectory.  ``repro-bench compare BENCH_x.json --history
+benchmarks/HISTORY.jsonl`` checks a fresh record against that
+trajectory, flagging per-kernel/per-algorithm regressions beyond a
+noise band (see :mod:`repro.perf.history` and ``docs/performance.md``).
 
 Two further verbs share the entry point: ``repro-bench compare``
 (trajectory watchdog, above) and ``repro-bench scale``
@@ -38,8 +37,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -52,14 +49,12 @@ from repro.parallel.registry import make_miner
 from repro.perf.config import CountingConfig
 from repro.perf.executor import effective_workers
 from repro.perf.history import (
-    append_history,
+    BenchRecord,
     compare_against_history,
-    record_from_report,
+    host_info,
     render_comparison,
+    write_record,
 )
-
-#: Version tag of the benchmark result files.
-BENCH_SCHEMA = "repro.bench/v1"
 
 #: (name, kernel, dedup, executor) — ``naive-serial`` must stay first:
 #: it is the digest baseline the other configurations are checked against.
@@ -107,8 +102,8 @@ def bench_one(
     max_k: int | None,
     store=None,
     taxonomy=None,
-) -> dict:
-    """One timed mining run; returns the result entry for the JSON file.
+) -> tuple[float, str]:
+    """One timed mining run; returns ``(wall_seconds, run_digest)``.
 
     ``store`` (an opened :class:`~repro.store.reader.TransactionStore`)
     replaces ``dataset.database`` as the scanned partitions; pass
@@ -136,42 +131,23 @@ def bench_one(
         run = miner.mine(min_support, max_k=max_k)
     finally:
         cluster.close()
-    wall = time.perf_counter() - started
-    pool_size = effective_workers(workers) if executor == "process" else 1
-    return {
-        "algorithm": algorithm,
-        "nodes": num_nodes,
-        "kernel": kernel,
-        "dedup": dedup,
-        "executor": executor,
-        "workers": pool_size,
-        # A process pool wider than the host's core count cannot show a
-        # real speedup — flag those entries so the trajectory is honest.
-        "underprovisioned": executor == "process"
-        and pool_size > (os.cpu_count() or 1),
-        "wall_seconds": round(wall, 6),
-        "digest": run_digest(run),
-        "total_probes": sum(p.total_probes for p in run.stats.passes),
-        "total_bytes_received": run.stats.total_bytes_received,
-        "peak_candidates": max(
-            (
-                node.candidates_stored
-                for pass_stats in run.stats.passes
-                for node in pass_stats.nodes
-            ),
-            default=0,
-        ),
-        "passes": [
-            {
-                "k": pass_stats.k,
-                "num_candidates": pass_stats.num_candidates,
-                "num_large": pass_stats.num_large,
-                "probes": pass_stats.total_probes,
-                "elapsed_simulated": pass_stats.elapsed,
-            }
-            for pass_stats in run.stats.passes
-        ],
+    return round(time.perf_counter() - started, 6), run_digest(run)
+
+
+def _add_speedups(metrics: dict[str, float], key: str, walls: dict[str, float]) -> None:
+    """``{key}/{configuration}/speedup``: naive-serial wall over each other's."""
+    base = walls.get("naive-serial")
+    if not base:
+        return
+    ratios = {
+        name: round(base / wall, 3)
+        for name, wall in sorted(walls.items())
+        if name != "naive-serial" and wall > 0
     }
+    for name, ratio in ratios.items():
+        metrics[f"{key}/{name}/speedup"] = ratio
+    rendered = ", ".join(f"{name} {ratio:g}x" for name, ratio in ratios.items())
+    print(f"{key}: {rendered}", file=sys.stderr)
 
 
 def run_benchmark(
@@ -185,11 +161,13 @@ def run_benchmark(
     algorithms: tuple[str, ...] = ("HPGM", "H-HPGM"),
     max_k: int | None = 2,
     store_path: str | Path | None = None,
-) -> dict:
-    """Run the full configuration matrix; returns the report dict.
+) -> tuple[BenchRecord, bool]:
+    """Run the full configuration matrix; returns ``(record, identical)``.
 
-    ``quick`` shrinks the workload (one node count, fewer transactions)
-    for CI smoke runs; the full matrix mirrors the table6 sweep.
+    ``identical`` is False when any configuration's digest differs from
+    the naive baseline of its (algorithm, nodes) cell.  ``quick``
+    shrinks the workload (one node count, fewer transactions) for CI
+    smoke runs; the full matrix mirrors the table6 sweep.
     ``store_path`` switches every configuration to a store-backed
     cluster (mmap views instead of pickled partitions); the taxonomy is
     read from the store directory and ``transactions`` is taken from
@@ -217,26 +195,32 @@ def run_benchmark(
             common.experiment_params(dataset_name, transactions)
         )
 
-    cpus = os.cpu_count() or 1
+    host = host_info()
     pool_size = effective_workers(workers)
+    # A process pool wider than the host's core count cannot show a
+    # real speedup — flag those runs so the trajectory is honest.
+    underprovisioned = pool_size > host["cpus"]
     print(
-        f"host: {cpus} cpu(s); fast-process pool={pool_size}"
+        f"host: {host['cpus']} cpu(s); fast-process pool={pool_size}"
         + (
             " — UNDERPROVISIONED (pool wider than the host; process "
             "speedups are not meaningful here)"
-            if pool_size > cpus
+            if underprovisioned
             else ""
         ),
         file=sys.stderr,
     )
 
-    runs: list[dict] = []
+    metrics: dict[str, float] = {}
+    digests: dict[str, str] = {}
+    totals: dict[str, float] = {}
     identical = True
     for algorithm in algorithms:
         for num_nodes in node_counts:
-            baseline_digest: str | None = None
+            stem = f"{algorithm}/{num_nodes}"
+            walls: dict[str, float] = {}
             for name, kernel, dedup, executor in CONFIGURATIONS:
-                entry = bench_one(
+                wall, digest = bench_one(
                     dataset,
                     algorithm,
                     num_nodes,
@@ -249,54 +233,29 @@ def run_benchmark(
                     store=store,
                     taxonomy=taxonomy,
                 )
-                entry["configuration"] = name
-                if baseline_digest is None:
-                    baseline_digest = entry["digest"]
-                entry["matches_baseline"] = entry["digest"] == baseline_digest
-                identical = identical and entry["matches_baseline"]
-                runs.append(entry)
+                # naive-serial runs first: it is the digest baseline.
+                matches = digest == digests.get(f"{stem}/naive-serial", digest)
+                identical = identical and matches
+                walls[name] = wall
+                totals[name] = totals.get(name, 0.0) + wall
+                metrics[f"{stem}/{name}/wall_seconds"] = wall
+                digests[f"{stem}/{name}"] = digest
+                flagged = underprovisioned and executor == "process"
                 print(
                     f"{algorithm:>10} nodes={num_nodes:<2} {name:<13} "
-                    f"{entry['wall_seconds']:9.3f}s  "
-                    f"{'ok' if entry['matches_baseline'] else 'RESULT MISMATCH'}"
-                    f"{'  [underprovisioned]' if entry['underprovisioned'] else ''}",
+                    f"{wall:9.3f}s  {'ok' if matches else 'RESULT MISMATCH'}"
+                    f"{'  [underprovisioned]' if flagged else ''}",
                     file=sys.stderr,
                 )
-
-    speedups: dict[str, dict[str, float]] = {}
-    by_key: dict[tuple[str, int], dict[str, float]] = {}
-    for entry in runs:
-        by_key.setdefault((entry["algorithm"], entry["nodes"]), {})[
-            entry["configuration"]
-        ] = entry["wall_seconds"]
-    for (algorithm, num_nodes), walls in sorted(by_key.items()):
-        base = walls.get("naive-serial")
-        if not base:
-            continue
-        speedups[f"{algorithm}/{num_nodes}"] = {
-            name: round(base / wall, 3)
-            for name, wall in sorted(walls.items())
-            if name != "naive-serial" and wall > 0
-        }
+            _add_speedups(metrics, stem, walls)
     # Aggregate row: total naive wall over total configuration wall
     # across the whole matrix — the headline trajectory number.
-    totals: dict[str, float] = {}
-    for entry in runs:
-        totals[entry["configuration"]] = (
-            totals.get(entry["configuration"], 0.0) + entry["wall_seconds"]
-        )
-    base = totals.get("naive-serial")
-    if base:
-        speedups["overall"] = {
-            name: round(base / wall, 3)
-            for name, wall in sorted(totals.items())
-            if name != "naive-serial" and wall > 0
-        }
+    _add_speedups(metrics, "overall", totals)
 
-    return {
-        "schema": BENCH_SCHEMA,
-        "label": label,
-        "workload": {
+    record = BenchRecord(
+        label=label,
+        kind="mining",
+        workload={
             "dataset": dataset_name,
             "transactions": transactions,
             "min_support": min_support,
@@ -309,27 +268,21 @@ def run_benchmark(
             # partitions — a distinct workload for trajectory purposes.
             "store": store_path is not None,
         },
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            # fast-process can only beat fast-serial when real cores are
-            # available — read speedups against this.
-            "cpus": cpus,
-        },
-        "results_identical": identical,
-        "speedups": speedups,
-        "runs": runs,
-    }
+        host=host,
+        metrics=metrics,
+        digests=digests,
+    )
+    return record, identical
 
 
 def main_compare(argv: list[str]) -> int:
     """``repro-bench compare`` — watchdog over the bench trajectory."""
     parser = argparse.ArgumentParser(
         prog="repro-bench compare",
-        description="Compare a benchmark report against HISTORY.jsonl and "
+        description="Compare a bench record against HISTORY.jsonl and "
         "fail on regressions beyond the noise band",
     )
-    parser.add_argument("report", help="BENCH_*.json report to evaluate")
+    parser.add_argument("report", help="BENCH_*.json record to evaluate")
     parser.add_argument(
         "--history",
         default="benchmarks/HISTORY.jsonl",
@@ -377,7 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--out",
         default="benchmarks",
-        help="output directory for the result file (default: benchmarks/)",
+        help="output directory for BENCH_<label>.json and HISTORY.jsonl "
+        "(default: benchmarks/)",
     )
     parser.add_argument(
         "--quick",
@@ -400,14 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         help="benchmark over a columnar store directory (written by "
         "repro-mine generate --store-out) instead of an in-memory dataset",
     )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip appending this run to HISTORY.jsonl in the output directory",
-    )
     args = parser.parse_args(arguments)
 
-    report = run_benchmark(
+    record, identical = run_benchmark(
         label=args.label,
         quick=args.quick,
         workers=args.workers,
@@ -416,23 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         dataset_name=args.dataset,
         store_path=args.store,
     )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"BENCH_{args.label}.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {out_path}", file=sys.stderr)
-    if not args.no_history:
-        history_path = append_history(
-            out_dir / "HISTORY.jsonl",
-            record_from_report(report, source=out_path.name),
-        )
-        print(f"appended trajectory record to {history_path}", file=sys.stderr)
-
-    for key, ratios in report["speedups"].items():
-        rendered = ", ".join(f"{name} {ratio:g}x" for name, ratio in ratios.items())
-        print(f"{key}: {rendered}", file=sys.stderr)
-    if not report["results_identical"]:
+    path = write_record(record, args.out)
+    print(f"wrote {path} and appended it to HISTORY.jsonl", file=sys.stderr)
+    if not identical:
         print("FAIL: configurations disagree with the naive baseline", file=sys.stderr)
         return 1
     return 0

@@ -9,8 +9,8 @@ takes.
 
 It is the only way to choose how counting runs: no environment
 variable changes it.  Callers that omit it get ``CountingConfig()``;
-the benchmark harness, the tests and ``repro-mine --kernel/--store``
-pass the configuration they compare explicitly.
+the benchmark harness, the tests and ``repro-mine --kernel`` pass the
+configuration they compare explicitly.
 """
 
 from __future__ import annotations
@@ -45,18 +45,15 @@ class CountingConfig:
         hits by multiplicity.  Also enables the routing/extension memos
         in the miners' scan loops.  Metrics are weight-scaled so they
         stay identical to per-transaction counting.
-    store:
-        Optional path of a columnar transaction store directory (see
-        :mod:`repro.store`).  Entry points that accept a counting
-        config (``cumulate``, ``mine_parallel``, the CLIs) resolve it
-        with :func:`repro.store.open_store` when no in-memory database
-        is supplied, so any run can point at an on-disk dataset.
-        Results and digests are identical to the in-memory path.
+
+    The data source is not part of the configuration: pass an opened
+    :class:`~repro.store.reader.TransactionStore` as ``cumulate``'s
+    database, or build the cluster with
+    :meth:`~repro.cluster.machine.Cluster.from_store`.
     """
 
     kernel: str = "fast"
     dedup: bool = True
-    store: str | None = None
 
     def __post_init__(self) -> None:
         if self.kernel not in KERNELS:

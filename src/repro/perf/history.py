@@ -1,59 +1,54 @@
-"""Bench-trajectory history: unified loader + regression watchdog.
+"""Bench records: the one format every harness writes, plus the watchdog.
 
-The repository's performance story lives in ``benchmarks/BENCH_*.json``
-files written by three generations of harnesses:
+Four harnesses measure host time — ``repro-bench`` (mining wall clock
+over the kernel × executor matrix), ``repro-bench scale`` (per-core
+curves with peak RSS), ``repro-serve loadgen`` (serving throughput and
+latency) and ``repro-refresh run --bench`` (per-delta refresh against a
+batch re-mine).  Each builds one :class:`BenchRecord` (schema
+``repro.bench/v2``) and hands it to :func:`write_record`:
 
-* the legacy **table6 baseline** (no ``schema`` key) — simulated
-  communication/elapsed numbers from the seed experiment;
-* ``repro.bench/v1`` (``repro-bench``) — host wall-clock over the
-  kernel × executor matrix;
-* ``repro.serve.bench/v1`` (``repro-serve loadgen``) — serving
-  throughput/latency for the direct and batched paths;
-* ``repro.scale/v1`` (``repro-bench scale``) — per-core scaling curves
-  over a columnar store, with per-point peak RSS.
-* ``repro.refresh.bench/v1`` (``repro-refresh run --bench``) —
-  per-delta incremental refresh wall-clock against a from-scratch
-  batch re-mine of the same window.
+* ``kind`` — ``mining``, ``scale``, ``serving`` or ``refresh``;
+* ``workload`` — everything that defines the run; the **workload key**
+  is a hash of ``kind`` + ``workload``, computed, never stored, so only
+  like runs are ever compared;
+* ``host`` — ``python``, ``machine`` and ``cpus`` of the measuring host;
+* ``metrics`` — metric name → number;
+* ``digests`` — result digests that must never drift.
 
-This module unifies them behind one versioned record shape
-(``repro.bench.history/v1``): every report flattens to a **metric map**
-(dotted metric name → number), a **digest map** (result digests that
-must never drift), and a **workload key** (a hash of everything that
-defines the workload, so only like runs are ever compared).
-``benchmarks/HISTORY.jsonl`` holds one record per line, appended by
-every ``repro-bench`` / ``repro-serve loadgen`` run — the cross-run
-trajectory the watchdog walks.
+``BENCH_<label>.json`` is the record (indented, sorted keys), and
+``HISTORY.jsonl`` next to it gains the same record as one compact line.
+The committed ``benchmarks/HISTORY.jsonl`` is the cross-run trajectory.
 
-``repro-bench compare`` evaluates a fresh report against the most
-recent history record with the same workload key: per-metric ratios
-with direction inferred from the metric name (``*_seconds``/``*_ms``
-lower-is-better; ``*qps``/``*speedup*``/``*ratio*`` higher-is-better),
-flagged as regressions when they move beyond a configurable **noise
-band** (default 1.5×).  Digest drift is always an error — a faster run
-that mines different itemsets is not an optimization.
+``repro-bench compare`` evaluates a fresh record against the most
+recent history line with the same workload key: per-metric ratios with
+direction inferred from the metric name (``*_seconds``/``*_ms``/
+``*_bytes`` lower-is-better; ``*qps``/``*speedup*``/``*ratio*``
+higher-is-better), flagged as regressions when they move beyond a
+configurable **noise band** (default 1.5×).  Digest drift is always an
+error — a faster run that mines different itemsets is not an
+optimization.
 
 Records carry no timestamps: history order is file order, and the git
 log of ``HISTORY.jsonl`` is the provenance trail (the repo-wide
-wall-clock lint RL002 applies here too).
+wall-clock rule RL002 applies here too).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
 
-#: Version tag of HISTORY.jsonl records.
-HISTORY_SCHEMA = "repro.bench.history/v1"
+#: Version tag of every bench record.
+SCHEMA = "repro.bench/v2"
 
-#: Report schema tags this loader understands.
-MINING_SCHEMA = "repro.bench/v1"
-SERVING_SCHEMA = "repro.serve.bench/v1"
-SCALE_SCHEMA = "repro.scale/v1"
-REFRESH_SCHEMA = "repro.refresh.bench/v1"
+#: The harness families a record can come from.
+KINDS = ("mining", "scale", "serving", "refresh")
 
 #: Metric-name suffixes that are lower-is-better.
 _LOWER_BETTER = ("_seconds", "_ms", "_bytes")
@@ -63,46 +58,7 @@ _HIGHER_BETTER = ("qps", "speedup", "ratio")
 
 
 class BenchHistoryError(ReproError):
-    """Malformed benchmark report or history stream."""
-
-
-@dataclass
-class BenchRecord:
-    """One benchmark run, normalized for cross-run comparison."""
-
-    label: str
-    kind: str
-    workload_key: str
-    metrics: dict[str, float]
-    digests: dict[str, str] = field(default_factory=dict)
-    source: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "schema": HISTORY_SCHEMA,
-            "label": self.label,
-            "kind": self.kind,
-            "workload_key": self.workload_key,
-            "metrics": {key: self.metrics[key] for key in sorted(self.metrics)},
-            "digests": {key: self.digests[key] for key in sorted(self.digests)},
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "BenchRecord":
-        if payload.get("schema") != HISTORY_SCHEMA:
-            raise BenchHistoryError(
-                f"not a history record (expected schema {HISTORY_SCHEMA!r}, "
-                f"got {payload.get('schema')!r})"
-            )
-        return cls(
-            label=payload["label"],
-            kind=payload["kind"],
-            workload_key=payload["workload_key"],
-            metrics=dict(payload.get("metrics", {})),
-            digests=dict(payload.get("digests", {})),
-            source=payload.get("source", ""),
-        )
+    """Malformed bench record or history stream."""
 
 
 def workload_key(kind: str, workload: dict) -> str:
@@ -112,166 +68,92 @@ def workload_key(kind: str, workload: dict) -> str:
     return f"{kind}-{digest[:12]}"
 
 
-# ----------------------------------------------------------------------
-# Report → record (one branch per schema generation)
-# ----------------------------------------------------------------------
-def record_from_report(report: dict, source: str = "") -> BenchRecord:
-    """Normalize any known ``BENCH_*.json`` shape into a record."""
-    schema = report.get("schema")
-    if schema == MINING_SCHEMA:
-        return _record_from_mining(report, source)
-    if schema == SERVING_SCHEMA:
-        return _record_from_serving(report, source)
-    if schema == SCALE_SCHEMA:
-        return _record_from_scale(report, source)
-    if schema == REFRESH_SCHEMA:
-        return _record_from_refresh(report, source)
-    if schema is None and "experiment" in report:
-        return _record_from_table6(report, source)
-    raise BenchHistoryError(
-        f"unknown benchmark report schema {schema!r} in {source or 'report'}"
-    )
-
-
-def _record_from_mining(report: dict, source: str) -> BenchRecord:
-    metrics: dict[str, float] = {}
-    digests: dict[str, str] = {}
-    for run in report.get("runs", []):
-        stem = f"{run['algorithm']}/{run['nodes']}/{run['configuration']}"
-        metrics[f"{stem}/wall_seconds"] = run["wall_seconds"]
-        digests[stem] = run["digest"]
-    for key, ratios in sorted(report.get("speedups", {}).items()):
-        for name, ratio in sorted(ratios.items()):
-            metrics[f"{key}/{name}/speedup"] = ratio
-    return BenchRecord(
-        label=report.get("label", "?"),
-        kind="mining",
-        workload_key=workload_key("mining", report.get("workload", {})),
-        metrics=metrics,
-        digests=digests,
-        source=source,
-    )
-
-
-def _record_from_scale(report: dict, source: str) -> BenchRecord:
-    """``repro-bench scale`` curves: wall clock, speedup and peak RSS.
-
-    Underprovisioned curve points (pool wider than the host) keep their
-    RSS metrics but drop wall-clock and speedup — their timing is not
-    comparable across hosts and would only add noise to the watchdog.
-    """
-    metrics: dict[str, float] = {}
-    digests: dict[str, str] = {}
-
-    def _absorb(entry: dict | None, timing_comparable: bool = True) -> None:
-        if not entry:
-            return
-        stem = entry["configuration"]
-        if timing_comparable:
-            metrics[f"{stem}/wall_seconds"] = entry["wall_seconds"]
-            if "speedup_vs_serial" in entry:
-                metrics[f"{stem}/speedup"] = entry["speedup_vs_serial"]
-        metrics[f"{stem}/peak_rss_bytes"] = entry["peak_rss_bytes"]
-        digests[stem] = entry["digest"]
-
-    _absorb(report.get("serial"))
-    _absorb(report.get("materialized"))
-    for point in report.get("curve", []):
-        _absorb(point, timing_comparable=not point.get("underprovisioned"))
-    return BenchRecord(
-        label=report.get("label", "?"),
-        kind="scale",
-        workload_key=workload_key("scale", report.get("workload", {})),
-        metrics=metrics,
-        digests=digests,
-        source=source,
-    )
-
-
-def _record_from_refresh(report: dict, source: str) -> BenchRecord:
-    """``repro-refresh run --bench``: per-delta refresh vs batch re-mine.
-
-    The aggregate ``speedup`` (total batch wall over total refresh wall)
-    is the headline trajectory metric; the final published snapshot's
-    version pins result identity across runs.
-    """
-    metrics: dict[str, float] = {}
-    for entry in report.get("deltas", []):
-        stem = f"delta{entry['index']}"
-        metrics[f"{stem}/refresh_seconds"] = entry["refresh_seconds"]
-        metrics[f"{stem}/batch_seconds"] = entry["batch_seconds"]
-        if entry.get("speedup"):
-            metrics[f"{stem}/speedup"] = entry["speedup"]
-    if report.get("speedup"):
-        metrics["speedup"] = report["speedup"]
-    digests: dict[str, str] = {}
-    if report.get("final_version"):
-        digests["final_snapshot"] = report["final_version"]
-    return BenchRecord(
-        label=report.get("label", "?"),
-        kind="refresh",
-        workload_key=workload_key("refresh", report.get("workload", {})),
-        metrics=metrics,
-        digests=digests,
-        source=source,
-    )
-
-
-def _record_from_serving(report: dict, source: str) -> BenchRecord:
-    metrics: dict[str, float] = {}
-    for phase, stats in sorted(report.get("phases", {}).items()):
-        for name in ("qps", "p50_ms", "p95_ms", "p99_ms", "wall_seconds"):
-            if name in stats:
-                metrics[f"{phase}/{name}"] = stats[name]
-    if "speedup_qps" in report:
-        metrics["speedup_qps"] = report["speedup_qps"]
-    digests: dict[str, str] = {}
-    if "transcript_sha256" in report:
-        digests["transcript"] = report["transcript_sha256"]
-    workload = dict(report.get("workload", {}))
-    workload["snapshot_version"] = report.get("snapshot", {}).get("version")
-    return BenchRecord(
-        label=report.get("label", "?"),
-        kind="serving",
-        workload_key=workload_key("serving", workload),
-        metrics=metrics,
-        digests=digests,
-        source=source,
-    )
-
-
-def _record_from_table6(report: dict, source: str) -> BenchRecord:
-    """The seed experiment file: simulated (deterministic) quantities."""
-    metrics: dict[str, float] = {}
-    for run in report.get("runs", []):
-        stem = f"{run['algorithm']}/{run['num_nodes']}"
-        metrics[f"{stem}/simulated_elapsed_seconds"] = sum(
-            pass_record.get("elapsed", 0.0) for pass_record in run.get("passes", [])
-        )
-    for row in report.get("rows", []):
-        metrics[f"comm_ratio/{row['num_nodes']}/ratio"] = row["ratio"]
-    workload = {
-        "experiment": report.get("experiment"),
-        "dataset": report.get("dataset"),
-        "min_support": report.get("min_support"),
+def host_info() -> dict:
+    """The measuring host: read speedups and RSS against ``cpus``."""
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count() or 1,
     }
-    return BenchRecord(
-        label=report.get("experiment", "baseline"),
-        kind="table6",
-        workload_key=workload_key("table6", workload),
-        metrics=metrics,
-        digests={},
-        source=source,
+
+
+@dataclass
+class BenchRecord:
+    """One benchmark run, as written to ``BENCH_*.json`` and history."""
+
+    label: str
+    kind: str
+    workload: dict
+    host: dict = field(default_factory=dict)
+    metrics: dict[str, float] = field(default_factory=dict)
+    digests: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def workload_key(self) -> str:
+        return workload_key(self.kind, self.workload)
+
+    def to_json(self) -> dict:
+        return {
+            "schema": SCHEMA,
+            "label": self.label,
+            "kind": self.kind,
+            "workload": self.workload,
+            "host": self.host,
+            "metrics": self.metrics,
+            "digests": self.digests,
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "BenchRecord":
+        if payload.get("schema") != SCHEMA:
+            raise BenchHistoryError(
+                f"not a bench record (expected schema {SCHEMA!r}, "
+                f"got {payload.get('schema')!r})"
+            )
+        if payload.get("kind") not in KINDS:
+            raise BenchHistoryError(
+                f"unknown record kind {payload.get('kind')!r}; "
+                f"known: {', '.join(KINDS)}"
+            )
+        return cls(
+            label=payload["label"],
+            kind=payload["kind"],
+            workload=dict(payload["workload"]),
+            host=dict(payload.get("host", {})),
+            metrics=dict(payload.get("metrics", {})),
+            digests=dict(payload.get("digests", {})),
+        )
+
+
+def _compact(record: BenchRecord) -> str:
+    return json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def write_record(record: BenchRecord, out_dir: str | Path) -> Path:
+    """Write ``BENCH_<label>.json`` and append to ``HISTORY.jsonl``.
+
+    Both land in ``out_dir`` (created when missing); returns the path
+    of the ``BENCH`` file.
+    """
+    target = Path(out_dir)
+    target.mkdir(parents=True, exist_ok=True)
+    path = target / f"BENCH_{record.label}.json"
+    path.write_text(
+        json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
     )
+    append_history(target / "HISTORY.jsonl", record)
+    return path
 
 
-def record_from_file(path: str | Path) -> BenchRecord:
+def load_record(path: str | Path) -> BenchRecord:
+    """Read one ``BENCH_*.json`` record."""
     path = Path(path)
     try:
-        report = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as error:
         raise BenchHistoryError(f"{path}: not JSON: {error}") from None
-    return record_from_report(report, source=path.name)
+    return BenchRecord.from_json(payload)
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +185,8 @@ def append_history(path: str | Path, record: BenchRecord) -> Path:
     """Append one record (creates the file and parents when missing)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record.to_json(), sort_keys=True, separators=(",", ":"))
     with path.open("a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
+        handle.write(_compact(record) + "\n")
     return path
 
 
@@ -330,8 +211,10 @@ def compare_records(
     ``noise_band`` is the worst tolerated ratio in the bad direction: a
     lower-is-better metric regresses when ``candidate / baseline``
     exceeds it; a higher-is-better metric regresses when the ratio
-    falls below ``1 / noise_band``.  Digest mismatches are always
-    regressions.
+    falls below ``1 / noise_band`` — so a throughput or speedup that
+    collapses to 0 is a regression.  Only a baseline of 0 or less
+    leaves a metric uncompared (no ratio exists).  Digest mismatches
+    are always regressions.
     """
     if noise_band < 1.0:
         raise BenchHistoryError(f"noise band must be >= 1.0, got {noise_band}")
@@ -348,7 +231,7 @@ def compare_records(
             continue
         base_value = baseline.metrics[name]
         cand_value = candidate.metrics[name]
-        if base_value <= 0 or cand_value <= 0:
+        if base_value <= 0:
             continue
         ratio = cand_value / base_value
         if direction == "lower":
@@ -407,7 +290,7 @@ def compare_against_history(
     comparison is a no-op (``ok`` with ``baseline_label`` None) — a new
     workload has no trajectory yet, which is not a regression.
     """
-    candidate = record_from_file(candidate_path)
+    candidate = load_record(candidate_path)
     history = load_history(history_path)
     baseline = latest_matching(history, candidate)
     if baseline is None:

@@ -21,10 +21,12 @@ Points where the pool is wider than the host's core count are marked
 ``underprovisioned: true`` (same contract as the main matrix): their
 wall-clock is recorded but is not evidence of scaling.
 
-Reports use schema ``repro.scale/v1`` and normalize into
-``HISTORY.jsonl`` like any other benchmark (kind ``scale``; see
-:mod:`repro.perf.history`), so the scaling trajectory is watched by
-``repro-bench compare`` too.
+Each run writes one bench record (kind ``scale``; see
+:mod:`repro.perf.history`) as ``BENCH_<label>.json`` and appends it to
+``HISTORY.jsonl``, so the scaling trajectory is watched by
+``repro-bench compare`` too.  Its metrics are wall clock, speedup and
+``peak_rss_bytes`` per configuration; underprovisioned points keep only
+their RSS — their timing is not comparable across hosts.
 
 Child protocol: ``python -m repro.perf.scale --child`` reads one JSON
 spec on stdin, runs one configuration, and prints one JSON result on
@@ -37,7 +39,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import resource
 import subprocess
 import sys
@@ -45,9 +46,7 @@ import time
 from pathlib import Path
 
 from repro.errors import ReproError
-
-#: Version tag of the scaling-curve result files.
-SCALE_SCHEMA = "repro.scale/v1"
+from repro.perf.history import BenchRecord, host_info, write_record
 
 
 class ScaleBenchError(ReproError):
@@ -121,16 +120,10 @@ def run_child(spec: dict) -> dict:
     finally:
         cluster.close()
     wall = time.perf_counter() - started
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    if sys.platform != "darwin":
-        children *= 1024
     return {
         "wall_seconds": round(wall, 6),
         "digest": run_digest(run),
-        "total_probes": sum(p.total_probes for p in run.stats.passes),
         "peak_rss_bytes": peak_rss_bytes(),
-        # Largest pool worker, when the executor spawned any.
-        "peak_child_rss_bytes": children,
         "rows": len(store),
     }
 
@@ -182,11 +175,16 @@ def run_scale(
     worker_counts: tuple[int, ...] | None = None,
     materialized_baseline: bool = True,
     label: str = "scale",
-) -> dict:
-    """Measure the full curve; returns the ``repro.scale/v1`` report."""
+) -> tuple[BenchRecord, bool]:
+    """Measure the full curve; returns ``(record, identical)``.
+
+    ``identical`` is False when any point's digest differs from the
+    serial run's.
+    """
     from repro.experiments import common
 
-    cpus = os.cpu_count() or 1
+    host = host_info()
+    cpus = host["cpus"]
     if worker_counts is None:
         worker_counts = default_worker_curve(cpus)
     if memory_per_node is None:
@@ -205,63 +203,72 @@ def run_scale(
         f"host: {cpus} cpu(s); curve workers={list(worker_counts)}",
         file=sys.stderr,
     )
+    metrics: dict[str, float] = {}
+    digests: dict[str, str] = {}
 
-    serial = _spawn({**base_spec, "executor": "serial", "verify": True})
-    serial["configuration"] = "fast-serial"
+    def measure(configuration: str, spec: dict, timed: bool = True) -> dict:
+        result = _spawn(spec)
+        if timed:
+            metrics[f"{configuration}/wall_seconds"] = result["wall_seconds"]
+        metrics[f"{configuration}/peak_rss_bytes"] = result["peak_rss_bytes"]
+        digests[configuration] = result["digest"]
+        return result
+
+    serial = measure(
+        "fast-serial", {**base_spec, "executor": "serial", "verify": True}
+    )
     print(
         f"{'fast-serial':<16} {serial['wall_seconds']:9.3f}s  "
         f"rss={serial['peak_rss_bytes'] / 1e6:.1f}MB",
         file=sys.stderr,
     )
 
-    curve: list[dict] = []
     identical = True
     for workers in worker_counts:
-        result = _spawn(
-            {**base_spec, "executor": "process", "workers": workers}
+        configuration = f"fast-process/w{workers}"
+        underprovisioned = workers > cpus
+        result = measure(
+            configuration,
+            {**base_spec, "executor": "process", "workers": workers},
+            timed=not underprovisioned,
         )
-        result["configuration"] = f"fast-process/w{workers}"
-        result["workers"] = workers
-        result["underprovisioned"] = workers > cpus
-        result["speedup_vs_serial"] = (
+        speedup = (
             round(serial["wall_seconds"] / result["wall_seconds"], 3)
             if result["wall_seconds"] > 0
             else 0.0
         )
-        result["matches_baseline"] = result["digest"] == serial["digest"]
-        identical = identical and result["matches_baseline"]
-        curve.append(result)
+        if not underprovisioned:
+            metrics[f"{configuration}/speedup"] = speedup
+        matches = result["digest"] == serial["digest"]
+        identical = identical and matches
         print(
             f"{'fast-process':<12} w={workers:<3} "
             f"{result['wall_seconds']:9.3f}s  "
-            f"x{result['speedup_vs_serial']:<6} "
+            f"x{speedup:<6} "
             f"rss={result['peak_rss_bytes'] / 1e6:.1f}MB  "
-            f"{'ok' if result['matches_baseline'] else 'RESULT MISMATCH'}"
-            f"{'  [underprovisioned]' if result['underprovisioned'] else ''}",
+            f"{'ok' if matches else 'RESULT MISMATCH'}"
+            f"{'  [underprovisioned]' if underprovisioned else ''}",
             file=sys.stderr,
         )
 
-    materialized = None
     if materialized_baseline:
-        materialized = _spawn(
-            {**base_spec, "executor": "serial", "materialize": True}
+        materialized = measure(
+            "materialized-serial",
+            {**base_spec, "executor": "serial", "materialize": True},
         )
-        materialized["configuration"] = "materialized-serial"
-        materialized["matches_baseline"] = (
-            materialized["digest"] == serial["digest"]
-        )
-        identical = identical and materialized["matches_baseline"]
+        matches = materialized["digest"] == serial["digest"]
+        identical = identical and matches
         print(
             f"{'materialized':<16} {materialized['wall_seconds']:9.3f}s  "
             f"rss={materialized['peak_rss_bytes'] / 1e6:.1f}MB  "
-            f"({'ok' if materialized['matches_baseline'] else 'RESULT MISMATCH'})",
+            f"({'ok' if matches else 'RESULT MISMATCH'})",
             file=sys.stderr,
         )
 
-    return {
-        "schema": SCALE_SCHEMA,
-        "label": label,
-        "workload": {
+    record = BenchRecord(
+        label=label,
+        kind="scale",
+        workload={
             "rows": serial["rows"],
             "algorithm": algorithm,
             "nodes": num_nodes,
@@ -269,16 +276,11 @@ def run_scale(
             "max_k": max_k,
             "memory_per_node": memory_per_node,
         },
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": cpus,
-        },
-        "results_identical": identical,
-        "serial": serial,
-        "materialized": materialized,
-        "curve": curve,
-    }
+        host=host,
+        metrics=metrics,
+        digests=digests,
+    )
+    return record, identical
 
 
 def main_scale(argv: list[str]) -> int:
@@ -313,12 +315,8 @@ def main_scale(argv: list[str]) -> int:
     parser.add_argument(
         "--out",
         default="benchmarks",
-        help="output directory for the result file (default: benchmarks/)",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip appending this run to HISTORY.jsonl in the output directory",
+        help="output directory for BENCH_<label>.json and HISTORY.jsonl "
+        "(default: benchmarks/)",
     )
     args = parser.parse_args(argv)
 
@@ -327,7 +325,7 @@ def main_scale(argv: list[str]) -> int:
         worker_counts = tuple(
             int(token) for token in args.workers_list.split(",") if token
         )
-    report = run_scale(
+    record, identical = run_scale(
         args.store,
         algorithm=args.algorithm,
         num_nodes=args.nodes,
@@ -337,21 +335,9 @@ def main_scale(argv: list[str]) -> int:
         materialized_baseline=not args.no_materialized_baseline,
         label=args.label,
     )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"SCALE_{args.label}.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {out_path}", file=sys.stderr)
-    if not args.no_history:
-        from repro.perf.history import append_history, record_from_report
-
-        history_path = append_history(
-            out_dir / "HISTORY.jsonl",
-            record_from_report(report, source=out_path.name),
-        )
-        print(f"appended trajectory record to {history_path}", file=sys.stderr)
-    if not report["results_identical"]:
+    path = write_record(record, args.out)
+    print(f"wrote {path} and appended it to HISTORY.jsonl", file=sys.stderr)
+    if not identical:
         print("FAIL: curve points disagree with the serial digest", file=sys.stderr)
         return 1
     return 0

@@ -11,8 +11,9 @@ Four subcommands:
 * ``run`` — end-to-end exercise: synthesize a dataset, ingest a base
   delta plus ``--deltas`` follow-ups, optionally verifying each
   published snapshot byte-for-byte against a from-scratch batch mine
-  (``--verify``), timing refresh vs re-mine into a
-  ``BENCH_<label>.json`` report (``--bench``), and probing the final
+  (``--verify``), timing refresh vs re-mine into a bench record
+  (``--bench``: ``BENCH_<label>.json`` plus a ``HISTORY.jsonl`` line in
+  ``--out``), and probing the final
   snapshot through the traced serving path so ``repro-slo check`` can
   gate the publish pipeline (``--requests-out``).
 
@@ -27,14 +28,12 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
-
 from repro.datagen import generate_dataset, load_transactions_text, preset
 from repro.errors import MiningError, ReproError, error_label, exit_code_for
 from repro.obs.registry import MetricsRegistry
 from repro.obs.requests import RequestTracer
 from repro.obs.sink import EventSink
-from repro.perf.history import append_history, record_from_report
+from repro.perf.history import BenchRecord, host_info, write_record
 from repro.refresh.driver import RefreshDriver
 from repro.serve.loadgen import (
     generate_workload,
@@ -42,9 +41,6 @@ from repro.serve.loadgen import (
     write_requests,
 )
 from repro.taxonomy.io import load_taxonomy
-
-#: Schema tag of a ``repro-refresh run --bench`` report.
-BENCH_SCHEMA = "repro.refresh.bench/v1"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,15 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bench",
         action="store_true",
         help="time each delta refresh against a full batch re-mine and "
-        "write BENCH_<label>.json",
+        "write BENCH_<label>.json, appending it to HISTORY.jsonl in --out",
     )
     run.add_argument("--label", default="pr10")
     run.add_argument("--out", default="benchmarks")
-    run.add_argument(
-        "--history",
-        default=None,
-        help="append the bench record to this HISTORY.jsonl (implies --bench)",
-    )
     run.add_argument(
         "--probes",
         type=int,
@@ -197,8 +188,11 @@ def _verify_against_batch(driver: RefreshDriver, delta_index: int) -> None:
         )
 
 
+def _speedup(batch_seconds: float, refresh_seconds: float) -> float:
+    return round(batch_seconds / refresh_seconds, 3) if refresh_seconds > 0 else 0.0
+
+
 def _cmd_run(args) -> int:
-    bench = args.bench or args.history is not None
     sink = EventSink(args.events) if args.events else None
     registry = MetricsRegistry()
 
@@ -229,44 +223,38 @@ def _cmd_run(args) -> int:
         batches.append(rows[offset : offset + args.delta_rows])
         offset += args.delta_rows
 
-    delta_reports: list[dict] = []
+    # Bench metrics per delta; the aggregate speedup leaves out the
+    # bootstrap delta whenever there are follow-ups.
+    metrics: dict[str, float] = {}
+    total_refresh = total_batch = 0.0
     for position, batch_rows in enumerate(batches):
         started = time.perf_counter()
         summary = driver.ingest(batch_rows)
-        refresh_seconds = time.perf_counter() - started
-        entry = {
-            "index": summary["delta"],
-            "rows": summary["rows"],
-            "window_rows": summary["window_rows"],
-            "promotions": summary["promotions"],
-            "demotions": summary["demotions"],
-            "rescanned": summary["rescanned"],
-            "published": summary["published"],
-            "version": summary["version"],
-            "refresh_seconds": round(refresh_seconds, 6),
-        }
-        if bench:
+        refresh_seconds = round(time.perf_counter() - started, 6)
+        line = (
+            f"delta {summary['delta']}: {summary['rows']} rows in, "
+            f"window {summary['window_rows']}, "
+            f"{summary['promotions']}+/{summary['demotions']}- itemsets, "
+            f"refresh {refresh_seconds:.3f}s"
+        )
+        if args.bench:
             started = time.perf_counter()
             driver.batch_result()
-            entry["batch_seconds"] = round(time.perf_counter() - started, 6)
-            entry["speedup"] = (
-                round(entry["batch_seconds"] / refresh_seconds, 3)
-                if refresh_seconds > 0
-                else 0.0
-            )
+            batch_seconds = round(time.perf_counter() - started, 6)
+            stem = f"delta{summary['delta']}"
+            metrics[f"{stem}/refresh_seconds"] = refresh_seconds
+            metrics[f"{stem}/batch_seconds"] = batch_seconds
+            speedup = _speedup(batch_seconds, refresh_seconds)
+            if speedup:
+                metrics[f"{stem}/speedup"] = speedup
+            if position > 0 or len(batches) == 1:
+                total_refresh += refresh_seconds
+                total_batch += batch_seconds
+            line += f", batch {batch_seconds:.3f}s"
         if args.verify:
             _verify_against_batch(driver, summary["delta"])
-            entry["verified"] = True
-        delta_reports.append(entry)
-        print(
-            f"delta {entry['index']}: {entry['rows']} rows in, "
-            f"window {entry['window_rows']}, "
-            f"{entry['promotions']}+/{entry['demotions']}- itemsets, "
-            f"refresh {entry['refresh_seconds']:.3f}s"
-            + (f", batch {entry['batch_seconds']:.3f}s" if bench else "")
-            + (", verified" if args.verify else ""),
-            file=sys.stderr,
-        )
+            line += ", verified"
+        print(line, file=sys.stderr)
 
     final = driver.current()
     if args.probes > 0 and final is not None:
@@ -294,14 +282,14 @@ def _cmd_run(args) -> int:
     status = driver.status()
     print(json.dumps(status, indent=2))
 
-    if bench:
-        refresh_deltas = delta_reports[1:] if len(delta_reports) > 1 else delta_reports
-        total_refresh = sum(e["refresh_seconds"] for e in refresh_deltas)
-        total_batch = sum(e.get("batch_seconds", 0.0) for e in refresh_deltas)
-        report = {
-            "schema": BENCH_SCHEMA,
-            "label": args.label,
-            "workload": {
+    if args.bench:
+        speedup = _speedup(total_batch, total_refresh)
+        if speedup:
+            metrics["speedup"] = speedup
+        record = BenchRecord(
+            label=args.label,
+            kind="refresh",
+            workload={
                 "dataset": args.dataset,
                 "scale": args.scale,
                 "seed": args.seed,
@@ -313,23 +301,12 @@ def _cmd_run(args) -> int:
                 "min_confidence": args.min_confidence,
                 "max_k": args.max_k,
             },
-            "deltas": delta_reports,
-            "refresh_seconds": round(total_refresh, 6),
-            "batch_seconds": round(total_batch, 6),
-            "speedup": (
-                round(total_batch / total_refresh, 3) if total_refresh > 0 else 0.0
-            ),
-            "final_version": None if final is None else final.version,
-        }
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        bench_path = out_dir / f"BENCH_{args.label}.json"
-        bench_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {bench_path}", file=sys.stderr)
-        if args.history:
-            record = record_from_report(report, source=bench_path.name)
-            append_history(args.history, record)
-            print(f"appended {record.workload_key} to {args.history}", file=sys.stderr)
+            host=host_info(),
+            metrics=metrics,
+            digests={} if final is None else {"final_snapshot": final.version},
+        )
+        path = write_record(record, args.out)
+        print(f"wrote {path} and appended it to HISTORY.jsonl", file=sys.stderr)
     return 0
 
 

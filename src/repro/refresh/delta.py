@@ -31,7 +31,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.core.counting import count_items
-from repro.core.itemsets import Itemset, minimum_count
+from repro.core.itemsets import Itemset
 from repro.core.result import MiningResult, PassResult
 from repro.errors import MiningError
 from repro.perf.config import CountingConfig
@@ -95,10 +95,6 @@ class IncrementalMiner:
     def tracked_itemsets(self) -> int:
         """Band size across passes (large + negative border)."""
         return sum(len(band) for band in self.bands.values())
-
-    @property
-    def threshold(self) -> int:
-        return minimum_count(self.min_support, self.n) if self.n else 1
 
     def result(self) -> MiningResult:
         """The window's mining result (batch-identical structure)."""

@@ -13,7 +13,7 @@ ends in data structures; this package turns them into a service:
 * :mod:`repro.serve.batch` — micro-batching worker pool and atomic
   snapshot hot-swap under live traffic;
 * :mod:`repro.serve.loadgen` — seeded workload replay and the
-  direct-vs-batched benchmark report;
+  direct-vs-batched benchmark record;
 * :mod:`repro.serve.httpd` / :mod:`repro.serve.cli` — the stdlib HTTP
   endpoint and the ``repro-serve`` command.
 

@@ -48,11 +48,6 @@ class BoundedLRUCache(Generic[K, V]):
     def __contains__(self, key: K) -> bool:
         return key in self._entries
 
-    @property
-    def lookups(self) -> int:
-        """Total counted lookups (``hits + misses`` by construction)."""
-        return self.hits + self.misses
-
     def get(self, key: K) -> V | object:
         """Return the cached value (marking a hit) or :data:`MISSING`."""
         value = self._entries.get(key, _MISSING)

@@ -7,7 +7,7 @@ Four subcommands close the offline→online loop:
   ``repro-mine mine --rules-out``;
 * ``query`` — run one basket against a snapshot and print the result;
 * ``loadgen`` — replay a seeded workload through the direct and the
-  batched path and write a ``BENCH_<label>.json`` report (plus an
+  batched path and write a ``BENCH_<label>.json`` bench record (plus an
   optional timing-free result transcript for determinism checks);
 * ``serve`` — expose a snapshot over stdlib HTTP/JSON.
 
@@ -30,15 +30,10 @@ from repro.errors import ReproError, error_label, exit_code_for
 from repro.experiments import common
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sink import EventSink
-from repro.perf.history import append_history, record_from_report
+from repro.perf.history import write_record
 from repro.serve.batch import ServeService
 from repro.serve.engine import SCORINGS
-from repro.serve.loadgen import (
-    run_loadgen,
-    write_report,
-    write_requests,
-    write_transcript,
-)
+from repro.serve.loadgen import run_loadgen, write_requests, write_transcript
 from repro.serve.rules_io import read_rules_jsonl
 from repro.serve.snapshot import compile_snapshot, load_snapshot, write_snapshot
 from repro.taxonomy.io import load_taxonomy
@@ -118,7 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument("--label", default="pr5")
     load.add_argument(
-        "--out", default="benchmarks", help="directory for BENCH_<label>.json"
+        "--out",
+        default="benchmarks",
+        help="directory for BENCH_<label>.json and HISTORY.jsonl",
     )
     load.add_argument(
         "--results-out",
@@ -255,7 +252,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     snapshot = load_snapshot(args.snapshot)
     sink = EventSink(path=args.trace_out) if args.trace_out else None
     metrics = MetricsRegistry() if args.metrics_out else None
-    report, transcript, requests = run_loadgen(
+    run, transcript, requests = run_loadgen(
         snapshot,
         queries=args.queries,
         seed=args.seed,
@@ -279,20 +276,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         metrics_path.parent.mkdir(parents=True, exist_ok=True)
         metrics_path.write_text(metrics.to_prometheus(), encoding="utf-8")
         print(f"metrics written to {metrics_path}")
-    path = write_report(report, args.out, args.label)
-    history_path = append_history(
-        Path(args.out) / "HISTORY.jsonl",
-        record_from_report(report, source=path.name),
-    )
-    print(f"appended trajectory record to {history_path}")
+    record = run["record"]
+    path = write_record(record, args.out)
     if args.results_out:
         write_transcript(transcript, args.results_out)
         print(f"transcript written to {args.results_out}")
     if args.requests_out:
         write_requests(requests, args.requests_out)
         print(f"request traces written to {args.requests_out}")
-    direct = report["phases"]["direct"]
-    batched = report["phases"]["batched"]
+    direct = run["phases"]["direct"]
+    batched = run["phases"]["batched"]
     print(
         f"direct:  {direct['qps']:9.1f} qps  "
         f"p50={direct['p50_ms']:.3f}ms p95={direct['p95_ms']:.3f}ms "
@@ -305,7 +298,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         f"(mean batch {batched['mean_batch_size']}, "
         f"{batched['deduped_queries']} deduped)"
     )
-    sharded = report["phases"].get("sharded")
+    sharded = run["phases"].get("sharded")
     if sharded is not None:
         print(
             f"sharded: {sharded['qps']:9.1f} qps  "
@@ -315,17 +308,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             f"rate={sharded['rate']}, shed={sharded['shed']}, "
             f"hedges={sharded['hedges']}, degraded={sharded['degraded']})"
         )
-    tracing = report["tracing"]
+    tracing = run["tracing"]
     print(
         f"tracing: {tracing['requests']} requests, "
         f"{tracing['errors']} errors, reconciled: {tracing['reconciled']}, "
         f"within wall: {tracing['within_wall']}"
     )
     print(
-        f"speedup {report['speedup_qps']}x, results identical: "
-        f"{report['results_identical']}; report written to {path}"
+        f"speedup {record.metrics['speedup_qps']}x, results identical: "
+        f"{run['results_identical']}; record written to {path} and "
+        "appended to HISTORY.jsonl"
     )
-    ok = report["results_identical"] and tracing["reconciled"]
+    ok = run["results_identical"] and tracing["reconciled"]
     return 0 if ok else 1
 
 

@@ -3,9 +3,10 @@
 ``repro-serve loadgen`` replays a deterministic workload against one
 snapshot twice — once through the **direct** per-query path, once
 through the **batched** path with concurrent client threads — and
-writes a schema-versioned report (``repro.serve.bench/v1``, committed
-as ``benchmarks/BENCH_pr5.json``) with throughput and p50/p95/p99
-latency per phase, mirroring the ``repro-bench`` trajectory files.
+builds one bench record (kind ``serving``, see
+:mod:`repro.perf.history`; committed as ``benchmarks/BENCH_pr5.json``)
+with throughput and p50/p95/p99 latency per phase, mirroring the
+``repro-bench`` trajectory files.
 
 Like ``repro-bench``, timing is only evidence while results agree: the
 two phases' result transcripts are digest-compared and the run **fails
@@ -27,8 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import platform
 import random
 import threading
 import time
@@ -36,11 +35,12 @@ from pathlib import Path
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.requests import RequestTracer, reconciles, to_ns
+from repro.perf.history import BenchRecord, host_info
 from repro.serve.batch import ServeService
 from repro.serve.snapshot import RuleSnapshot
 
-#: Version tag of the serving benchmark report files.
-BENCH_SCHEMA = "repro.serve.bench/v1"
+#: Per-phase statistics that become record metrics ``{phase}/{name}``.
+PHASE_METRICS = ("qps", "p50_ms", "p95_ms", "p99_ms", "wall_seconds")
 
 
 def generate_workload(
@@ -273,16 +273,18 @@ def run_loadgen(
     clock=time.perf_counter,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[dict, list[dict], list[dict]]:
-    """All phases on one workload; returns (report, transcript,
-    request records).
+    """All phases on one workload; returns (run, transcript, request
+    records).
 
-    Request records carry each query's reconciled span accounting; the
-    report's ``tracing`` section summarizes them and **fails the run**
-    (via ``results_identical``-style gating in the CLI) when any record
-    does not reconcile exactly.  When a ``metrics`` registry is given,
-    each phase's series are merged into it under ``phase=direct`` /
-    ``phase=batched`` / ``phase=sharded`` labels (the ``--metrics-out``
-    export).
+    ``run`` holds the bench ``record`` (kind ``serving``) plus what the
+    CLI prints and gates on: per-phase ``phases`` statistics,
+    ``results_identical`` (every phase's transcript digest equals the
+    direct phase's) and the ``tracing`` summary.  Request records carry
+    each query's reconciled span accounting; the CLI **fails the run**
+    when any record does not reconcile exactly.  When a ``metrics``
+    registry is given, each phase's series are merged into it under
+    ``phase=direct`` / ``phase=batched`` / ``phase=sharded`` labels (the
+    ``--metrics-out`` export).
 
     ``shards > 0`` adds the sharded-tier phase
     (:func:`repro.serve.shard.loadgen.run_sharded_phase`): ``rate``
@@ -363,59 +365,52 @@ def run_loadgen(
         metrics.merge(direct_registry, phase="direct")
         metrics.merge(batched_registry, phase="batched")
     direct_digest = _transcript_digest(direct_transcript)
-    batched_digest = _transcript_digest(batched_transcript)
     digests["direct"] = direct_digest
-    digests["batched"] = batched_digest
-    tracing = tracing_summary(phase_walls)
-    report = {
-        "schema": BENCH_SCHEMA,
-        "label": label,
-        "snapshot": {
-            "version": snapshot.version,
-            "rules": snapshot.num_rules,
-            "items": len(snapshot.closures),
+    digests["batched"] = _transcript_digest(batched_transcript)
+    spec = {
+        "queries": queries,
+        "seed": seed,
+        "pool_size": pool_size,
+        "scoring": scoring,
+        "top_k": top_k,
+        "clients": clients,
+        "workers": workers,
+        "batch_max": batch_max,
+        "snapshot_version": snapshot.version,
+    }
+    if shards > 0:
+        spec["shards"] = shards
+        spec["replication"] = replication
+        spec["rate"] = round(float(rate), 3)
+    speedup_qps = (
+        round(batched_stats["qps"] / direct_stats["qps"], 3)
+        if direct_stats["qps"]
+        else 0.0
+    )
+    record = BenchRecord(
+        label=label,
+        kind="serving",
+        workload=spec,
+        host=host_info(),
+        metrics={
+            **{
+                f"{phase}/{name}": stats[name]
+                for phase, stats in sorted(phases.items())
+                for name in PHASE_METRICS
+            },
+            "speedup_qps": speedup_qps,
         },
-        "workload": {
-            "queries": queries,
-            "seed": seed,
-            "pool_size": pool_size,
-            "scoring": scoring,
-            "top_k": top_k,
-            "clients": clients,
-            "workers": workers,
-            "batch_max": batch_max,
-        },
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count() or 1,
-        },
+        digests={"transcript": direct_digest},
+    )
+    run = {
+        "record": record,
         "phases": phases,
-        "speedup_qps": (
-            round(batched_stats["qps"] / direct_stats["qps"], 3)
-            if direct_stats["qps"]
-            else 0.0
-        ),
         "results_identical": all(
             digest == direct_digest for digest in digests.values()
         ),
-        "transcript_sha256": direct_digest,
-        "tracing": tracing,
+        "tracing": tracing_summary(phase_walls),
     }
-    if shards > 0:
-        report["workload"]["shards"] = shards
-        report["workload"]["replication"] = replication
-        report["workload"]["rate"] = round(float(rate), 3)
-    return report, direct_transcript, request_records(*tracers)
-
-
-def write_report(report: dict, out_dir: str | Path, label: str) -> Path:
-    """Write ``BENCH_<label>.json``; returns the path written."""
-    target = Path(out_dir)
-    target.mkdir(parents=True, exist_ok=True)
-    path = target / f"BENCH_{label}.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
+    return run, direct_transcript, request_records(*tracers)
 
 
 def write_transcript(transcript: list[dict], path: str | Path) -> Path:

@@ -1,18 +1,19 @@
 """Smoke tests for the ``repro-bench`` trajectory harness.
 
 A tiny in-process run of the full configuration matrix must produce a
-schema-versioned report whose configurations all match the naive
-baseline digest, and the CLI must write ``BENCH_<label>.json`` and
-exit 0 on agreement.
+``mining`` bench record whose configurations all match the naive
+baseline digest, and the CLI must write ``BENCH_<label>.json`` plus a
+``HISTORY.jsonl`` line and exit 0 on agreement.
 """
 
 from __future__ import annotations
 
-import json
+import os
 
 import pytest
 
 from repro.perf import bench, scale
+from repro.perf.history import SCHEMA, load_history, load_record
 
 TINY = dict(
     quick=True,
@@ -36,47 +37,51 @@ def tiny_store(tmp_path_factory):
     return path
 
 
+CONFIGURATION_NAMES = [name for name, *_ in bench.CONFIGURATIONS]
+
+
 class TestRunBenchmark:
     def test_report_shape_and_agreement(self):
-        report = bench.run_benchmark("unit", **TINY)
-        assert report["schema"] == bench.BENCH_SCHEMA
-        assert report["label"] == "unit"
-        assert report["results_identical"] is True
+        record, identical = bench.run_benchmark("unit", **TINY)
+        assert record.kind == "mining"
+        assert record.label == "unit"
+        assert identical is True
+        assert CONFIGURATION_NAMES[0] == "naive-serial"
 
-        names = [entry["configuration"] for entry in report["runs"]]
-        assert names == [name for name, *_ in bench.CONFIGURATIONS]
-        baseline = report["runs"][0]
-        assert baseline["configuration"] == "naive-serial"
-        for entry in report["runs"]:
-            assert entry["digest"] == baseline["digest"]
-            assert entry["matches_baseline"] is True
-            assert entry["wall_seconds"] > 0
-            assert entry["passes"], entry["configuration"]
+        stems = [f"H-HPGM/4/{name}" for name in CONFIGURATION_NAMES]
+        assert sorted(record.digests) == sorted(stems)
+        assert len(set(record.digests.values())) == 1
+        for stem in stems:
+            assert record.metrics[f"{stem}/wall_seconds"] > 0
 
-        # Probes are semantic: every configuration reports the same.
-        probe_counts = {entry["total_probes"] for entry in report["runs"]}
-        assert len(probe_counts) == 1
-
-        speedups = report["speedups"]["H-HPGM/4"]
-        assert set(speedups) == {"fast-serial", "fast-process"}
+        speedups = {
+            name: value
+            for name, value in record.metrics.items()
+            if name.endswith("/speedup")
+        }
+        assert set(speedups) == {
+            f"{key}/{name}/speedup"
+            for key in ("H-HPGM/4", "overall")
+            for name in ("fast-serial", "fast-process")
+        }
         assert all(value > 0 for value in speedups.values())
-        overall = report["speedups"]["overall"]
-        assert set(overall) == {"fast-serial", "fast-process"}
-        assert report["host"]["cpus"] >= 1
+        assert record.host["cpus"] >= 1
 
     def test_digest_is_deterministic(self):
-        first = bench.run_benchmark("a", **TINY)
-        second = bench.run_benchmark("b", **TINY)
-        digests = lambda report: [e["digest"] for e in report["runs"]]  # noqa: E731
-        assert digests(first) == digests(second)
+        first, _ = bench.run_benchmark("a", **TINY)
+        second, _ = bench.run_benchmark("b", **TINY)
+        assert first.digests == second.digests
 
-    def test_underprovisioned_flag_tracks_host_cpus(self, monkeypatch):
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
-        report = bench.run_benchmark("flag", **TINY)  # workers=2 > 1 cpu
-        for entry in report["runs"]:
-            expected = entry["executor"] == "process"
-            assert entry["underprovisioned"] is expected
-        assert report["host"]["cpus"] == 1
+    def test_underprovisioned_flag_tracks_host_cpus(self, monkeypatch, capsys):
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        record, _ = bench.run_benchmark("flag", **TINY)  # workers=2 > 1 cpu
+        runs = [
+            line for line in capsys.readouterr().err.splitlines() if "nodes=" in line
+        ]
+        assert len(runs) == len(CONFIGURATION_NAMES)
+        for line in runs:
+            assert ("[underprovisioned]" in line) is ("fast-process" in line)
+        assert record.host["cpus"] == 1
 
     def test_cpus_printed_prominently(self, capsys):
         bench.run_benchmark("banner", **TINY)
@@ -87,27 +92,20 @@ class TestRunBenchmark:
 
 class TestStoreBacked:
     def test_store_matrix_matches_itself_and_the_dataset(self, tiny_store):
-        on_store = bench.run_benchmark("st", **TINY, store_path=tiny_store)
-        assert on_store["results_identical"] is True
-        assert on_store["workload"]["store"] is True
-        assert on_store["workload"]["transactions"] == 300
+        on_store, identical = bench.run_benchmark("st", **TINY, store_path=tiny_store)
+        assert identical is True
+        assert on_store.workload["store"] is True
+        assert on_store.workload["transactions"] == 300
 
-        in_memory = bench.run_benchmark("mem", **TINY)
-        assert in_memory["workload"]["store"] is False
+        in_memory, _ = bench.run_benchmark("mem", **TINY)
+        assert in_memory.workload["store"] is False
         # Same rows, same taxonomy — the store changes nothing observable.
-        assert [e["digest"] for e in on_store["runs"]] == [
-            e["digest"] for e in in_memory["runs"]
-        ]
+        assert on_store.digests == in_memory.digests
 
     def test_store_and_memory_are_distinct_workloads(self, tiny_store):
-        from repro.perf.history import record_from_report
-
-        on_store = bench.run_benchmark("st", **TINY, store_path=tiny_store)
-        in_memory = bench.run_benchmark("mem", **TINY)
-        assert (
-            record_from_report(on_store).workload_key
-            != record_from_report(in_memory).workload_key
-        )
+        on_store, _ = bench.run_benchmark("st", **TINY, store_path=tiny_store)
+        in_memory, _ = bench.run_benchmark("mem", **TINY)
+        assert on_store.workload_key != in_memory.workload_key
 
 
 class TestScale:
@@ -137,8 +135,6 @@ class TestScale:
         assert streamed["digest"] == materialized["digest"]
 
     def test_main_scale_writes_report_and_history(self, tiny_store, tmp_path, capsys):
-        from repro.perf.history import load_history
-
         code = scale.main_scale(
             [
                 "--store",
@@ -158,19 +154,18 @@ class TestScale:
             ]
         )
         assert code == 0
-        report = json.loads((tmp_path / "SCALE_unit.json").read_text())
-        assert report["schema"] == scale.SCALE_SCHEMA
-        assert report["results_identical"] is True
-        assert report["serial"]["peak_rss_bytes"] > 0
-        assert report["materialized"]["digest"] == report["serial"]["digest"]
-        (point,) = report["curve"]
-        assert point["workers"] == 1
-        assert point["matches_baseline"] is True
-
-        (record,) = load_history(tmp_path / "HISTORY.jsonl")
+        record = load_record(tmp_path / "BENCH_unit.json")
         assert record.kind == "scale"
-        assert "fast-serial/peak_rss_bytes" in record.metrics
-        assert record.digests["fast-serial"] == report["serial"]["digest"]
+        assert record.workload["rows"] == 300
+        configurations = ("fast-serial", "fast-process/w1", "materialized-serial")
+        assert sorted(record.digests) == sorted(configurations)
+        assert len(set(record.digests.values())) == 1
+        for configuration in configurations:
+            assert record.metrics[f"{configuration}/peak_rss_bytes"] > 0
+            assert f"{configuration}/wall_seconds" in record.metrics
+        assert "fast-process/w1/speedup" in record.metrics
+
+        assert load_history(tmp_path / "HISTORY.jsonl") == [record]
 
 
 class TestCli:
@@ -191,8 +186,58 @@ class TestCli:
             ]
         )
         assert code == 0
-        written = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-        assert written["schema"] == bench.BENCH_SCHEMA
-        assert written["results_identical"] is True
+        written = load_record(tmp_path / "BENCH_smoke.json")
+        assert written.to_json()["schema"] == SCHEMA
+        for algorithm in written.workload["algorithms"]:
+            cell = {
+                digest
+                for stem, digest in written.digests.items()
+                if stem.startswith(f"{algorithm}/")
+            }
+            assert len(cell) == 1, algorithm
+        assert load_history(tmp_path / "HISTORY.jsonl") == [written]
         err = capsys.readouterr().err
         assert "speedup" in err.lower() or "ok" in err
+
+
+class TestExitChecks:
+    """A result that disagrees exits 1; the record is still written."""
+
+    def test_matrix_digest_mismatch_exits_one(self, tmp_path, monkeypatch, capsys):
+        def diverging(dataset, algorithm, num_nodes, min_support, kernel, *rest, **kw):
+            return 0.5, f"digest-{kernel}"
+
+        monkeypatch.setattr(bench, "bench_one", diverging)
+        code = bench.main(
+            ["--quick", "--transactions", "300", "--label", "bad", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "RESULT MISMATCH" in err and "FAIL" in err
+        assert load_record(tmp_path / "BENCH_bad.json").kind == "mining"
+
+    def test_scale_mismatch_exits_one_and_drops_underprovisioned_timing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def fake_spawn(spec):
+            # No child runs: the materialized point disagrees with serial.
+            digest = "materialized" if spec.get("materialize") else "streamed"
+            return {"wall_seconds": 2.0, "peak_rss_bytes": 7, "rows": 10, "digest": digest}
+
+        monkeypatch.setattr(scale, "_spawn", fake_spawn)
+        wide = (os.cpu_count() or 1) + 1
+        code = scale.main_scale(
+            [
+                "--store", str(tmp_path),
+                "--workers-list", f"1,{wide}",
+                "--label", "bad",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().err
+        record = load_record(tmp_path / "BENCH_bad.json")
+        assert record.metrics["fast-process/w1/speedup"] == 1.0
+        assert record.metrics[f"fast-process/w{wide}/peak_rss_bytes"] == 7
+        assert f"fast-process/w{wide}/wall_seconds" not in record.metrics
+        assert f"fast-process/w{wide}/speedup" not in record.metrics

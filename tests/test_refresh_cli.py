@@ -9,7 +9,9 @@ import pytest
 
 from repro.datagen import generate_dataset, preset
 from repro.datagen.io import save_transactions_text
+from repro.perf.history import load_history, load_record
 from repro.refresh.cli import main
+from repro.refresh.driver import RefreshDriver
 
 SCALE = "0.005"
 
@@ -96,7 +98,6 @@ class TestRun:
     def test_run_end_to_end(self, tmp_path, capsys):
         root = tmp_path / "root"
         out = tmp_path / "bench"
-        history = tmp_path / "HISTORY.jsonl"
         requests = tmp_path / "requests.jsonl"
         code = main(
             [
@@ -113,7 +114,6 @@ class TestRun:
                 "--bench",
                 "--label", "clitest",
                 "--out", str(out),
-                "--history", str(history),
                 "--probes", "10",
                 "--requests-out", str(requests),
             ]
@@ -124,20 +124,43 @@ class TestRun:
         assert status["applied_through"] == 3
         # Window of 2 over base + 3 deltas: the window evicted twice.
         assert status["window_deltas"] == 2
-        assert "verified" in captured.err
+        # Base + 3 deltas, each verified against a batch mine.
+        assert captured.err.count(", verified") == 4
 
-        report = json.loads((out / "BENCH_clitest.json").read_text())
-        assert report["schema"] == "repro.refresh.bench/v1"
-        assert len(report["deltas"]) == 4
-        assert all(e["verified"] for e in report["deltas"])
-        assert report["final_version"] == status["current"]["version"]
-
-        record = json.loads(history.read_text().splitlines()[-1])
-        assert record["kind"] == "refresh"
-        assert record["digests"]["final_snapshot"] == report["final_version"]
+        record = load_record(out / "BENCH_clitest.json")
+        assert record.kind == "refresh"
+        for index in range(4):
+            for name in ("refresh_seconds", "batch_seconds", "speedup"):
+                assert f"delta{index}/{name}" in record.metrics
+        assert record.metrics["speedup"] > 0
+        assert record.digests == {"final_snapshot": status["current"]["version"]}
+        assert load_history(out / "HISTORY.jsonl") == [record]
 
         lines = requests.read_text().splitlines()
         assert len(lines) >= 10
+
+    def test_verify_divergence_exits_3(self, tmp_path, monkeypatch, capsys):
+        # The batch oracle publishes nothing while the refresh publishes.
+        monkeypatch.setattr(RefreshDriver, "batch_snapshot", lambda self: None)
+        out = tmp_path / "bench"
+        code = main(
+            [
+                "run",
+                "--root", str(tmp_path / "root"),
+                "--dataset", "R30F5",
+                "--scale", SCALE,
+                "--base-rows", "400",
+                "--deltas", "1",
+                "--delta-rows", "100",
+                "--min-support", "0.15",
+                "--verify",
+                "--bench",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert "disagree" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_refuses_undersized_dataset(self, tmp_path, capsys):
         code = main(

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.cli import main as mine_main
+from repro.perf.history import load_history, load_record
+from repro.serve import loadgen
 from repro.serve.cli import main as serve_main
 from repro.serve.rules_io import read_rules_jsonl
 from repro.serve.snapshot import load_snapshot, write_snapshot
@@ -165,18 +167,55 @@ class TestLoadgen:
             ]
         )
         assert code == 0
-        report = json.loads((out_dir / "BENCH_test.json").read_text())
-        assert report["schema"] == "repro.serve.bench/v1"
-        assert report["results_identical"] is True
-        for phase in report["phases"].values():
-            assert phase["queries"] == 60
-            assert phase["qps"] > 0
-            assert phase["p50_ms"] <= phase["p95_ms"] <= phase["p99_ms"]
+        record = load_record(out_dir / "BENCH_test.json")
+        assert record.kind == "serving"
+        assert record.workload["queries"] == 60
+        assert set(record.digests) == {"transcript"}
+        for phase in ("direct", "batched"):
+            metrics = {
+                name: record.metrics[f"{phase}/{name}"]
+                for name in ("qps", "p50_ms", "p95_ms", "p99_ms")
+            }
+            assert metrics["qps"] > 0
+            assert metrics["p50_ms"] <= metrics["p95_ms"] <= metrics["p99_ms"]
+        assert "results identical: True" in capsys.readouterr().out
+        assert load_history(out_dir / "HISTORY.jsonl") == [record]
         lines = transcript.read_text().splitlines()
         assert len(lines) == 60
         snapshot = load_snapshot(snapshot_path)
         for line in lines:
             assert json.loads(line)["version"] == snapshot.version
+
+    def _loadgen(self, snapshot_path, tmp_path):
+        return serve_main(
+            [
+                "loadgen",
+                "--snapshot", str(snapshot_path),
+                "--queries", "20",
+                "--label", "bad",
+                "--out", str(tmp_path),
+            ]
+        )
+
+    def test_transcript_divergence_exits_one(
+        self, snapshot_path, tmp_path, monkeypatch, capsys
+    ):
+        original = loadgen.run_batched_phase
+
+        def diverging(*args, **kwargs):
+            stats, transcript = original(*args, **kwargs)
+            return stats, transcript[1:]
+
+        monkeypatch.setattr(loadgen, "run_batched_phase", diverging)
+        assert self._loadgen(snapshot_path, tmp_path) == 1
+        assert "results identical: False" in capsys.readouterr().out
+
+    def test_unreconciled_request_exits_one(
+        self, snapshot_path, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(loadgen, "reconciles", lambda record: False)
+        assert self._loadgen(snapshot_path, tmp_path) == 1
+        assert "reconciled: False" in capsys.readouterr().out
 
     def test_transcript_is_seed_stable(self, snapshot_path, tmp_path):
         outs = []

@@ -45,6 +45,29 @@ def served():
         service.close()
 
 
+@pytest.fixture()
+def sharded_served(tmp_path):
+    """A live server over the sharded tier; yields (service, host,
+    port, snapshot_path) with the serving snapshot also on disk."""
+    from repro.serve.shard.service import ShardedService
+    from repro.serve.snapshot import write_snapshot
+
+    snapshot = _snapshot()
+    snapshot_path = tmp_path / "next.jsonl"
+    write_snapshot(snapshot, snapshot_path)
+    service = ShardedService(snapshot, shards=2, replication=1)
+    server = make_server(service, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield service, *server.server_address, snapshot_path
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        service.close()
+
+
 def _post(host, port, body: bytes, path="/query"):
     conn = http.client.HTTPConnection(host, port, timeout=10)
     try:
@@ -53,6 +76,18 @@ def _post(host, port, body: bytes, path="/query"):
         )
         response = conn.getresponse()
         return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        conn.close()
+
+
+def _get(host, port, path):
+    """``GET path``; returns (status, content type, body text)."""
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        body = response.read().decode("utf-8")
+        return response.status, response.getheader("Content-Type"), body
     finally:
         conn.close()
 
@@ -171,30 +206,57 @@ class TestEngineFailureMidBatch:
         assert (ok, bad) == (1, 1)
 
 
+class TestGetRoutes:
+    """The read-only routes that health checks and scrapers depend on."""
+
+    def test_healthz_and_version(self, served):
+        service, host, port = served
+        status, _, body = _get(host, port, "/healthz")
+        assert status == 200
+        assert json.loads(body) == {"status": "ok", "version": service.version}
+        status, _, body = _get(host, port, "/version")
+        assert status == 200
+        assert json.loads(body) == {"version": service.version}
+
+    def test_metrics_are_prometheus_text_with_unlabelled_serve_series(
+        self, served
+    ):
+        _service, host, port = served
+        status, _ = _post(host, port, json.dumps({"basket": [4]}).encode())
+        assert status == 200
+        status, content_type, body = _get(host, port, "/metrics")
+        assert status == 200
+        assert content_type.startswith("text/plain")
+        series = {}
+        for line in body.splitlines():
+            if line and not line.startswith("#"):
+                name, _, value = line.rpartition(" ")
+                series[name] = float(value)
+        # Unlabelled series: scrapers sum them by their bare names.
+        assert series["repro_serve_batches"] >= 1
+        assert series["repro_serve_batched_queries"] >= 1
+
+    def test_shards_only_on_the_sharded_tier(self, served, sharded_served):
+        _service, host, port = served
+        status, _, body = _get(host, port, "/shards")
+        assert status == 404
+        assert "no route" in json.loads(body)["error"]
+        service, host, port, _path = sharded_served
+        status, _, body = _get(host, port, "/shards")
+        assert status == 200
+        shards = json.loads(body)
+        assert shards["version"] == service.version
+        assert (shards["partitions"], shards["replication"]) == (2, 1)
+
+    def test_unknown_path_is_404(self, served):
+        _service, host, port = served
+        status, _, body = _get(host, port, "/nope")
+        assert status == 404
+        assert json.loads(body) == {"error": "no route /nope"}
+
+
 class TestRolloutEndpoint:
     """POST /rollout: the operator surface over the rolling rollout."""
-
-    @pytest.fixture()
-    def sharded_served(self, tmp_path):
-        """A live server over the sharded tier; yields (service, host,
-        port, snapshot_path) with the serving snapshot also on disk."""
-        from repro.serve.shard.service import ShardedService
-        from repro.serve.snapshot import write_snapshot
-
-        snapshot = _snapshot()
-        snapshot_path = tmp_path / "next.jsonl"
-        write_snapshot(snapshot, snapshot_path)
-        service = ShardedService(snapshot, shards=2, replication=1)
-        server = make_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield service, *server.server_address, snapshot_path
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-            service.close()
 
     def _rollout(self, host, port, payload):
         return _post(

@@ -13,11 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.config import ClusterConfig
+from repro.cluster.machine import Cluster
 from repro.core.cumulate import cumulate
 from repro.datagen.generator import generate_dataset, generate_dataset_to_store
 from repro.datagen.params import GeneratorParams
-from repro.errors import MiningError
-from repro.parallel.registry import ALGORITHMS, mine_parallel
+from repro.parallel.registry import ALGORITHMS, make_miner, mine_parallel
 from repro.perf.bench import run_digest
 from repro.perf.config import CountingConfig
 from repro.store import open_store
@@ -69,22 +69,33 @@ class TestCumulate:
         )
         assert result_fingerprint(on_store) == result_fingerprint(in_memory)
 
-    def test_counting_store_opens_the_store(self, dataset, store_dir):
-        in_memory = cumulate(
-            dataset.database, dataset.taxonomy, MIN_SUPPORT, max_k=MAX_K
-        )
-        via_config = cumulate(
-            None,
-            dataset.taxonomy,
-            MIN_SUPPORT,
-            max_k=MAX_K,
-            counting=CountingConfig(store=str(store_dir)),
-        )
-        assert result_fingerprint(via_config) == result_fingerprint(in_memory)
+    def test_store_equals_database_under_both_kernels(self, dataset, store_dir):
+        for counting in (CountingConfig(), CountingConfig.naive()):
+            in_memory = cumulate(
+                dataset.database,
+                dataset.taxonomy,
+                MIN_SUPPORT,
+                max_k=MAX_K,
+                counting=counting,
+            )
+            on_store = cumulate(
+                open_store(store_dir),
+                dataset.taxonomy,
+                MIN_SUPPORT,
+                max_k=MAX_K,
+                counting=counting,
+            )
+            assert result_fingerprint(on_store) == result_fingerprint(in_memory)
 
-    def test_no_database_and_no_store_is_an_error(self, dataset):
-        with pytest.raises(MiningError, match="store"):
-            cumulate(None, dataset.taxonomy, MIN_SUPPORT)
+
+def mine_store(store_dir, taxonomy, algorithm, config):
+    """Mine ``store_dir`` on a cluster built from its store views."""
+    cluster = Cluster.from_store(config, open_store(store_dir))
+    try:
+        miner = make_miner(algorithm, cluster, taxonomy)
+        return miner.mine(MIN_SUPPORT, max_k=MAX_K)
+    finally:
+        cluster.close()
 
 
 class TestParallelMiners:
@@ -101,20 +112,8 @@ class TestParallelMiners:
             config=config,
             max_k=MAX_K,
         )
-        stored = mine_parallel(
-            None,
-            dataset.taxonomy,
-            MIN_SUPPORT,
-            algorithm=algorithm,
-            config=config,
-            max_k=MAX_K,
-            counting=CountingConfig(store=str(store_dir)),
-        )
+        stored = mine_store(store_dir, dataset.taxonomy, algorithm, config)
         assert run_digest(stored) == run_digest(baseline)
-
-    def test_missing_store_config_is_an_error(self, dataset):
-        with pytest.raises(MiningError, match="store"):
-            mine_parallel(None, dataset.taxonomy, MIN_SUPPORT)
 
 
 class TestProcessExecutor:
@@ -133,15 +132,7 @@ class TestProcessExecutor:
             config=config_serial,
             max_k=MAX_K,
         )
-        stored = mine_parallel(
-            None,
-            dataset.taxonomy,
-            MIN_SUPPORT,
-            algorithm="H-HPGM",
-            config=config_process,
-            max_k=MAX_K,
-            counting=CountingConfig(store=str(store_dir)),
-        )
+        stored = mine_store(store_dir, dataset.taxonomy, "H-HPGM", config_process)
         assert run_digest(stored) == run_digest(baseline)
 
     def test_shm_arena_process_matches_serial(self, dataset):
