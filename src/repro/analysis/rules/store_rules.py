@@ -13,7 +13,7 @@ Flagged:
 
 * ``anything.to_list()`` — ``to_list`` is the store family's explicit
   materialization escape hatch (:class:`TransactionStore`,
-  :class:`StoreView`, :class:`ShmView`), documented as a test helper;
+  :class:`StoreView`), documented as a test helper;
 * ``list(...)`` / ``tuple(...)`` over a store-named operand (``store``,
   ``my_store``, ``self.store`` …) or directly over an
   ``open_store(...)`` / ``TransactionStore(...)`` call.
@@ -33,9 +33,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.rules.base import Rule
 
 #: Constructors/openers whose result is a store, whoever names it.
-_STORE_PRODUCERS = frozenset(
-    {"open_store", "TransactionStore", "load_transactions_store"}
-)
+_STORE_PRODUCERS = frozenset({"open_store", "TransactionStore"})
 
 #: Builtins that materialize their iterable argument in full.
 _MATERIALIZERS = frozenset({"list", "tuple"})

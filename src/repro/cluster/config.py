@@ -50,8 +50,7 @@ class ClusterConfig:
         checker (:mod:`repro.cluster.invariants`): message conservation,
         statistics/network cross-checks, and the candidate-memory bound.
         Off by default — the skew experiments deliberately record
-        memory overflow.  The ``REPRO_CHECK_INVARIANTS=1`` environment
-        variable enables checking regardless of this field.
+        memory overflow.
     executor:
         How per-node scan work is executed on the *host*: ``"serial"``
         (inline, the default) or ``"process"`` (a process pool mapping

@@ -7,12 +7,13 @@ so NPGM's fragment loop — which re-reads the partition once per
 candidate fragment — shows up as real I/O in the cost model.
 
 The partition can be any :class:`TransactionSource`: an in-memory
-:class:`~repro.datagen.corpus.TransactionDatabase`, a strided
-:class:`~repro.store.reader.StoreView` over an on-disk columnar store,
-or a :class:`~repro.store.shm.ShmView` into a shared-memory arena.  All
-three yield the same sorted tuples, so the miners (and their digests)
-cannot tell them apart; the store/shm views additionally pickle as tiny
-handles, which is what makes the process backend zero-copy per pass.
+:class:`~repro.datagen.corpus.TransactionDatabase` or a
+:class:`~repro.store.reader.StoreView` over a columnar store (strided
+over a dataset's store, or a node's contiguous rows of the temporary
+store a process-executor cluster spills in-memory partitions to).  Both
+yield the same sorted tuples, so the miners (and their digests) cannot
+tell them apart; a view additionally pickles as a tiny handle, which is
+what makes the process backend zero-copy per pass.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from repro.datagen.corpus import Transaction
 class TransactionSource(Protocol):
     """Anything a :class:`LocalDisk` can scan.
 
-    Implementations: :class:`~repro.datagen.corpus.TransactionDatabase`,
-    :class:`~repro.store.reader.TransactionStore` /
-    :class:`~repro.store.reader.StoreView`, and
-    :class:`~repro.store.shm.ShmView`.  Iteration must yield sorted,
+    Implementations: :class:`~repro.datagen.corpus.TransactionDatabase`
+    and :class:`~repro.store.reader.TransactionStore` /
+    :class:`~repro.store.reader.StoreView`.  Iteration must yield sorted,
     deduplicated item tuples — the normalisation every implementation
     applies at construction/write time.
     """

@@ -15,27 +15,18 @@ verifies at every pass boundary:
 * **memory bound** — no node's ``candidates_stored`` exceeds
   ``memory_per_node``.
 
-Enable via ``ClusterConfig(check_invariants=True)`` or the
-``REPRO_CHECK_INVARIANTS=1`` environment variable (handy for test
-subprocesses).  Leave off for the skew experiments that deliberately
-record candidate-memory overflow (the paper's non-strict reading).
+Enable via ``ClusterConfig(check_invariants=True)``.  Leave off for
+the skew experiments that deliberately record candidate-memory
+overflow (the paper's non-strict reading).
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable
 
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.errors import InvariantViolationError
-
-_ENV_FLAG = "REPRO_CHECK_INVARIANTS"
-
-
-def invariants_enabled_by_env() -> bool:
-    """True when ``REPRO_CHECK_INVARIANTS`` requests checking."""
-    return os.environ.get(_ENV_FLAG, "").strip() not in {"", "0", "false", "no"}
 
 
 def verify_pass_invariants(

@@ -18,13 +18,14 @@ to the pass time.
 
 from __future__ import annotations
 
-import os
+import shutil
+import tempfile
 import weakref
 from collections.abc import Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.disk import TransactionSource
-from repro.cluster.invariants import invariants_enabled_by_env, verify_pass_invariants
+from repro.cluster.invariants import verify_pass_invariants
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.stats import NodeStats, PassStats
@@ -32,24 +33,44 @@ from repro.datagen.corpus import TransactionDatabase
 from repro.datagen.partition import partition_evenly
 from repro.errors import ClusterError
 from repro.faults.recovery import FaultController
+from repro.store import StoreView, open_store, write_store
 
 
-def _shared_memory_enabled() -> bool:
-    """``REPRO_SHM=0`` opts process runs out of the shared-memory arena."""
-    return os.environ.get("REPRO_SHM", "1") not in ("0", "false")
+def _spill(partitions: Sequence[TransactionDatabase]) -> tuple[str, list[StoreView]]:
+    """Write partitions, in node order, to a new temporary store.
+
+    Returns the store's directory and one view per partition over its
+    own contiguous row range.
+    """
+    directory = tempfile.mkdtemp(prefix="repro-spill-")
+    try:
+        write_store((row for partition in partitions for row in partition), directory)
+        store = open_store(directory, verify=False)
+    except BaseException:
+        shutil.rmtree(directory, ignore_errors=True)
+        raise
+    views = []
+    start = 0
+    for partition in partitions:
+        stop = start + len(partition)
+        views.append(store.view(start=start, stop=stop))
+        start = stop
+    return directory, views
 
 
 class Cluster:
     """A simulated shared-nothing machine loaded with data.
 
     When the config selects the ``process`` executor and the partitions
-    are plain in-memory databases, they are packed once into a
-    :class:`~repro.store.shm.SharedArena` and each node's disk scans a
-    :class:`~repro.store.shm.ShmView` instead — worker tasks then carry
-    a few-byte handle rather than a pickled partition (the BENCH_pr3
-    bottleneck).  Scan results and statistics are identical either way;
-    only task serialisation cost changes.  Set ``REPRO_SHM=0`` to keep
-    the legacy pickled-partition behaviour.
+    are plain in-memory databases, they are spilled once to a private
+    temporary store (:func:`~repro.store.writer.write_store`, in node
+    order) and each node's disk scans a
+    :class:`~repro.store.reader.StoreView` over its own rows, as a
+    store-backed cluster does.  Worker tasks then carry a path + row
+    range handle rather than a pickled partition.  The writer
+    normalises rows exactly as the database does, so results and
+    statistics are identical either way.  :meth:`close` removes the
+    directory; a finalizer removes it if ``close`` is never called.
     """
 
     def __init__(self, config: ClusterConfig, partitions: Sequence[TransactionSource]):
@@ -62,24 +83,16 @@ class Cluster:
         #: Optional :class:`repro.obs.telemetry.Telemetry` (duck-typed;
         #: this module never imports ``repro.obs``).
         self.telemetry = None
-        #: The shared-memory arena backing the partitions, if any.
-        self.arena = None
-        self._finalizer = None
+        self._remove_spill = None
         if (
             getattr(config, "executor", "serial") == "process"
-            and _shared_memory_enabled()
             and partitions
             and all(isinstance(p, TransactionDatabase) for p in partitions)
         ):
-            from repro.store.shm import SharedArena
-
-            arena = SharedArena.from_partitions(partitions)
-            partitions = [arena.view(i) for i in range(arena.num_nodes)]
-            self.arena = arena
-            # The arena is a kernel object (POSIX shm segment), not
-            # garbage-collectable memory — tie its unlink to this
-            # cluster's lifetime in case close() is never called.
-            self._finalizer = weakref.finalize(self, arena.destroy)
+            directory, partitions = _spill(partitions)
+            self._remove_spill = weakref.finalize(
+                self, shutil.rmtree, directory, ignore_errors=True
+            )
         self.nodes: list[Node] = [
             Node(node_id, partition, config)
             for node_id, partition in enumerate(partitions)
@@ -123,12 +136,9 @@ class Cluster:
         return cls(config, views)
 
     def close(self) -> None:
-        """Release the shared-memory arena, if one was created."""
-        if self.arena is not None:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-            self.arena.destroy()
-            self.arena = None
+        """Remove the spill directory, if the partitions were spilled."""
+        if self._remove_spill is not None:
+            self._remove_spill()
 
     @property
     def num_nodes(self) -> int:
@@ -218,7 +228,7 @@ class Cluster:
         """
         if self.network.total_pending() != 0:
             raise ClusterError("finish_pass with undelivered messages")
-        if self.config.check_invariants or invariants_enabled_by_env():
+        if self.config.check_invariants:
             verify_pass_invariants(
                 self.network,
                 self.nodes,

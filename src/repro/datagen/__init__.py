@@ -12,7 +12,8 @@ reimplements that recipe:
 * :mod:`~repro.datagen.corpus` — :class:`TransactionDatabase` container.
 * :mod:`~repro.datagen.partition` — horizontal partitioning across the
   cluster's local disks, with optional placement skew for ablations.
-* :mod:`~repro.datagen.io` — text and binary on-disk formats.
+* :mod:`~repro.datagen.io` — the text on-disk format (the binary one
+  is :mod:`repro.store`).
 * :mod:`~repro.datagen.adapters` — real-dataset CSV loaders (attribute
   tables, labelled baskets) with deterministic taxonomy induction.
 """
@@ -24,12 +25,7 @@ from repro.datagen.adapters import (
 )
 from repro.datagen.corpus import TransactionDatabase
 from repro.datagen.generator import SyntheticDataset, generate_dataset, generate_transactions
-from repro.datagen.io import (
-    load_transactions_binary,
-    load_transactions_text,
-    save_transactions_binary,
-    save_transactions_text,
-)
+from repro.datagen.io import load_transactions_text, save_transactions_text
 from repro.datagen.params import (
     DATASET_PRESETS,
     GeneratorParams,
@@ -47,11 +43,9 @@ __all__ = [
     "generate_transactions",
     "load_attribute_csv",
     "load_basket_csv",
-    "load_transactions_binary",
     "load_transactions_text",
     "partition_evenly",
     "partition_weighted",
     "preset",
-    "save_transactions_binary",
     "save_transactions_text",
 ]

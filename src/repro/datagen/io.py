@@ -1,39 +1,19 @@
-"""On-disk transaction formats.
+"""The text transaction format.
 
-Three formats:
-
-* **Text** — one transaction per line, space-separated item ids.  Human
-  readable; interoperable with the classic FIMI repository layout.
-* **Binary** — little-endian ``uint32`` stream: a magic word, the
-  transaction count, then each transaction as a length prefix followed by
-  its item ids.  Compact and fast to parse.
-* **Store** — the chunked columnar directory format of
-  :mod:`repro.store` (CSR segments + manifest with per-segment sha256
-  digests).  The only format with a *streaming* writer and an mmap
-  reader: :func:`save_transactions_store` accepts a plain iterator and
-  never materialises the dataset, and
-  :func:`load_transactions_store` returns a
-  :class:`~repro.store.reader.TransactionStore` that miners scan
-  directly (it satisfies the same protocol as
-  :class:`~repro.datagen.corpus.TransactionDatabase`).
-
-Text and binary round-trip through :class:`TransactionDatabase` and are
-kept for interoperability; anything larger than memory should use the
-store.
+One transaction per line, space-separated item ids: human readable and
+interoperable with the classic FIMI repository layout.  It round-trips
+through :class:`TransactionDatabase`.  The repo's one binary format is
+the columnar store (:func:`repro.store.write_store` /
+:func:`repro.store.open_store`), which streams and is scanned through
+mmap; anything larger than memory should use it.
 """
 
 from __future__ import annotations
 
-import struct
-from collections.abc import Iterable
 from pathlib import Path
 
 from repro.datagen.corpus import TransactionDatabase
 from repro.errors import TransactionFormatError
-
-_MAGIC = 0x47415231  # "GAR1" — generalized association rules, format 1
-_HEADER = struct.Struct("<II")
-_WORD = struct.Struct("<I")
 
 
 def save_transactions_text(database: TransactionDatabase, path: str | Path) -> None:
@@ -66,77 +46,3 @@ def load_transactions_text(path: str | Path) -> TransactionDatabase:
                     f"{path}:{line_number}: non-integer item id"
                 ) from exc
     return TransactionDatabase(transactions)
-
-
-def save_transactions_binary(database: TransactionDatabase, path: str | Path) -> None:
-    """Write the compact binary format (see module docstring)."""
-    path = Path(path)
-    with path.open("wb") as handle:
-        handle.write(_HEADER.pack(_MAGIC, len(database)))
-        for transaction in database:
-            handle.write(_WORD.pack(len(transaction)))
-            handle.write(struct.pack(f"<{len(transaction)}I", *transaction))
-
-
-def load_transactions_binary(path: str | Path) -> TransactionDatabase:
-    """Read the binary format written by :func:`save_transactions_binary`."""
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < _HEADER.size:
-        raise TransactionFormatError(f"{path}: truncated header")
-    magic, count = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC:
-        raise TransactionFormatError(f"{path}: bad magic {magic:#x}")
-    offset = _HEADER.size
-    transactions: list[tuple[int, ...]] = []
-    for index in range(count):
-        if offset + _WORD.size > len(data):
-            raise TransactionFormatError(
-                f"{path}: truncated at transaction {index} length prefix"
-            )
-        (length,) = _WORD.unpack_from(data, offset)
-        offset += _WORD.size
-        end = offset + length * _WORD.size
-        if end > len(data):
-            raise TransactionFormatError(f"{path}: truncated at transaction {index}")
-        transactions.append(struct.unpack_from(f"<{length}I", data, offset))
-        offset = end
-    if offset != len(data):
-        raise TransactionFormatError(f"{path}: {len(data) - offset} trailing bytes")
-    return TransactionDatabase(transactions)
-
-
-def save_transactions_store(
-    transactions: Iterable[Iterable[int]] | TransactionDatabase,
-    path: str | Path,
-    segment_rows: int | None = None,
-    meta: dict | None = None,
-) -> Path:
-    """Stream transactions into a columnar store directory at ``path``.
-
-    Accepts any iterable — a :class:`TransactionDatabase`, a generator
-    from :func:`repro.datagen.generator.iter_transactions`, a parsed
-    file — and consumes it exactly once without materialising it.
-    Returns the manifest path.
-    """
-    from repro.store.writer import DEFAULT_SEGMENT_ROWS, write_store
-
-    return write_store(
-        transactions,
-        path,
-        segment_rows=segment_rows if segment_rows is not None else DEFAULT_SEGMENT_ROWS,
-        meta=meta,
-    )
-
-
-def load_transactions_store(path: str | Path, verify: bool = True):
-    """Open a store directory written by :func:`save_transactions_store`.
-
-    Returns a :class:`~repro.store.reader.TransactionStore` (mmap; rows
-    are decoded lazily during scans).  Segment digests are verified up
-    front unless ``verify=False``; corruption raises
-    :class:`~repro.errors.StoreFormatError`.
-    """
-    from repro.store.reader import open_store
-
-    return open_store(path, verify=verify)

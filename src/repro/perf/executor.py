@@ -14,14 +14,15 @@ against the real ``NodeStats`` / ``Network`` objects in node order, so
 traces, telemetry spans and invariant checks observe exactly the
 sequence a serial run produces.
 
-Task payload size is what makes or breaks the process backend: a task's
-``disk`` wraps either a pickled in-memory partition (the legacy path,
-whose serialisation cost BENCH_pr3 measured eating the speedup) or a
-zero-copy handle — a :class:`~repro.store.reader.StoreView` (path +
-row range, re-opened via mmap in the worker) or a
-:class:`~repro.store.shm.ShmView` (shared-memory block name + node
-index).  With handles, nothing row-shaped crosses the pickle boundary
-in either direction; see :mod:`repro.store`.
+Task payload size is what makes or breaks the process backend
+(BENCH_pr3 measured pickled partitions eating the whole speedup).  A
+task's ``disk`` therefore wraps a :class:`~repro.store.reader.StoreView`:
+a path + row range handle, re-opened via mmap in the worker.  Store-
+backed clusters hand out views over the dataset's store; a process
+cluster built from in-memory partitions first spills them to a
+temporary store (:class:`~repro.cluster.machine.Cluster`).  Nothing
+row-shaped crosses the pickle boundary in either direction; see
+:mod:`repro.store`.
 """
 
 from __future__ import annotations

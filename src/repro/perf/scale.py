@@ -10,7 +10,9 @@ reviewer asks next:
   the *same* store directory.  Digests must agree across every point.
 * **Does the store actually bound memory?**  Every point is executed in
   a fresh **child process** so ``getrusage(RUSAGE_SELF).ru_maxrss`` is
-  that run's own high-water mark, not the parent's accumulated one.  An
+  that run's own high-water mark, not the parent's accumulated one.  A
+  process point also reads ``RUSAGE_CHILDREN`` after the mine, when its
+  pool has been joined: the largest pool worker's high-water mark.  An
   optional *materialized baseline* pulls the whole store into an
   in-memory :class:`~repro.datagen.corpus.TransactionDatabase` first —
   the cost the store exists to avoid — so the report shows
@@ -25,7 +27,8 @@ Each run writes one bench record (kind ``scale``; see
 :mod:`repro.perf.history`) as ``BENCH_<label>.json`` and appends it to
 ``HISTORY.jsonl``, so the scaling trajectory is watched by
 ``repro-bench compare`` too.  Its metrics are wall clock, speedup and
-``peak_rss_bytes`` per configuration; underprovisioned points keep only
+``peak_rss_bytes`` per configuration, plus ``peak_rss_worker_bytes``
+per process point that ran a pool; underprovisioned points keep only
 their RSS — their timing is not comparable across hosts.
 
 Child protocol: ``python -m repro.perf.scale --child`` reads one JSON
@@ -53,13 +56,14 @@ class ScaleBenchError(ReproError):
     """A scaling-curve child run failed or disagreed on results."""
 
 
-def peak_rss_bytes() -> int:
+def peak_rss_bytes(who: int = resource.RUSAGE_SELF) -> int:
     """This process's resident high-water mark, in bytes.
 
-    ``ru_maxrss`` is KiB on Linux and bytes on macOS — one of the few
-    places the two disagree on units.
+    With ``who=resource.RUSAGE_CHILDREN`` it is the largest terminated,
+    waited-for child's instead.  ``ru_maxrss`` is KiB on Linux and
+    bytes on macOS — one of the few places the two disagree on units.
     """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = resource.getrusage(who).ru_maxrss
     if sys.platform == "darwin":  # pragma: no cover - non-Linux CI
         return peak
     return peak * 1024
@@ -120,12 +124,18 @@ def run_child(spec: dict) -> dict:
     finally:
         cluster.close()
     wall = time.perf_counter() - started
-    return {
+    result = {
         "wall_seconds": round(wall, 6),
         "digest": run_digest(run),
         "peak_rss_bytes": peak_rss_bytes(),
         "rows": len(store),
     }
+    # The mine's pools have been joined, so their workers are waited-
+    # for children.  One worker runs inline and leaves no figure.
+    workers_peak = peak_rss_bytes(resource.RUSAGE_CHILDREN)
+    if spec["executor"] == "process" and workers_peak > 0:
+        result["peak_rss_worker_bytes"] = workers_peak
+    return result
 
 
 def _child_main() -> int:
@@ -211,6 +221,10 @@ def run_scale(
         if timed:
             metrics[f"{configuration}/wall_seconds"] = result["wall_seconds"]
         metrics[f"{configuration}/peak_rss_bytes"] = result["peak_rss_bytes"]
+        if "peak_rss_worker_bytes" in result:
+            metrics[f"{configuration}/peak_rss_worker_bytes"] = result[
+                "peak_rss_worker_bytes"
+            ]
         digests[configuration] = result["digest"]
         return result
 
@@ -246,6 +260,7 @@ def run_scale(
             f"{result['wall_seconds']:9.3f}s  "
             f"x{speedup:<6} "
             f"rss={result['peak_rss_bytes'] / 1e6:.1f}MB  "
+            f"worker={result.get('peak_rss_worker_bytes', 0) / 1e6:.1f}MB  "
             f"{'ok' if matches else 'RESULT MISMATCH'}"
             f"{'  [underprovisioned]' if underprovisioned else ''}",
             file=sys.stderr,

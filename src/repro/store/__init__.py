@@ -4,7 +4,9 @@ The store is how this repo escapes list-of-tuples datasets: a directory
 of struct-packed CSR segments (``docs/store.md``) written by a streaming
 path that never materialises the dataset, read back through mmap with
 zero per-row decoding, and shipped to process-pool workers as tiny
-handles instead of pickled rows.
+handles instead of pickled rows.  In-memory datasets reach process
+workers the same way: the cluster spills their partitions into a
+temporary store (:class:`~repro.cluster.machine.Cluster`).
 
 Public API
 ----------
@@ -12,8 +14,6 @@ Public API
 - :class:`TransactionStore` / :func:`open_store` — digest-verified mmap
   reader; :meth:`TransactionStore.view` slices it into picklable
   per-node :class:`StoreView` handles.
-- :class:`SharedArena` / :class:`ShmView` — the same columns packed into
-  one ``multiprocessing.shared_memory`` block for in-memory runs.
 - :mod:`repro.store.format` — header/manifest constants and validators.
 """
 
@@ -24,7 +24,6 @@ from repro.store.format import (
     TAXONOMY_NAME,
 )
 from repro.store.reader import StoreView, TransactionStore, open_store
-from repro.store.shm import SharedArena, ShmView
 from repro.store.writer import DEFAULT_SEGMENT_ROWS, StoreWriter, write_store
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "MANIFEST_NAME",
     "STORE_SCHEMA",
     "TAXONOMY_NAME",
-    "SharedArena",
-    "ShmView",
     "StoreView",
     "StoreWriter",
     "TransactionStore",

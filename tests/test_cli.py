@@ -198,10 +198,10 @@ class TestStoreCli:
         assert "MiningResult" in capsys.readouterr().out
 
     def test_store_without_taxonomy_exits_18(self, tmp_path, capsys):
-        from repro.datagen.io import save_transactions_store
+        from repro.store import write_store
 
         out = tmp_path / "bare"
-        save_transactions_store([(1, 2), (2, 3)], out)
+        write_store([(1, 2), (2, 3)], out)
         code = cli.main(
             ["mine", "--store", str(out), "--min-support", "0.5"]
         )

@@ -1,5 +1,7 @@
 """Unit tests for repro.cluster.disk, node and machine."""
 
+import gc
+
 import pytest
 
 from repro.cluster.config import ClusterConfig
@@ -8,6 +10,7 @@ from repro.cluster.machine import Cluster
 from repro.cluster.node import Node
 from repro.cluster.stats import NodeStats
 from repro.datagen.corpus import TransactionDatabase
+from repro.datagen.partition import partition_evenly
 from repro.errors import ClusterError, MemoryBudgetError
 
 
@@ -121,3 +124,50 @@ class TestCluster:
         assert stats.total_bytes_received == 400
         assert stats.avg_bytes_received == 200
         assert stats.probe_distribution() == [0, 0]
+
+
+class TestSpill:
+    """Process clusters over in-memory partitions scan a temporary store."""
+
+    @staticmethod
+    def spill_directory(cluster):
+        return cluster.nodes[0].disk.partition.store.path
+
+    def process_cluster(self, database):
+        config = ClusterConfig(num_nodes=2, executor="process", workers=2)
+        return Cluster.from_database(config, database)
+
+    def test_nodes_scan_their_own_rows(self, database):
+        cluster = self.process_cluster(database)
+        try:
+            for node, partition in zip(
+                cluster.nodes, partition_evenly(database, 2)
+            ):
+                assert list(node.disk.scan()) == list(partition)
+                assert node.disk.stored_items == partition.total_items()
+        finally:
+            cluster.close()
+
+    def test_serial_cluster_does_not_spill(self, database):
+        cluster = Cluster.from_database(ClusterConfig(num_nodes=2), database)
+        assert all(
+            isinstance(node.disk.partition, TransactionDatabase)
+            for node in cluster.nodes
+        )
+
+    def test_close_removes_the_directory(self, database):
+        cluster = self.process_cluster(database)
+        directory = self.spill_directory(cluster)
+        assert directory.is_dir()
+        assert directory.name.startswith("repro-spill-")
+        cluster.close()
+        assert not directory.exists()
+        cluster.close()  # idempotent
+
+    def test_unclosed_cluster_is_cleaned_up_when_collected(self, database):
+        cluster = self.process_cluster(database)
+        directory = self.spill_directory(cluster)
+        assert directory.is_dir()
+        del cluster
+        gc.collect()
+        assert not directory.exists()

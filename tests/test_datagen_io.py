@@ -3,13 +3,9 @@
 import pytest
 
 from repro.datagen.corpus import TransactionDatabase
-from repro.datagen.io import (
-    load_transactions_binary,
-    load_transactions_text,
-    save_transactions_binary,
-    save_transactions_text,
-)
+from repro.datagen.io import load_transactions_text, save_transactions_text
 from repro.errors import TransactionFormatError
+from repro.store import open_store, write_store
 
 
 @pytest.fixture
@@ -41,58 +37,12 @@ class TestTextFormat:
             load_transactions_text(path)
 
 
-class TestBinaryFormat:
-    def test_roundtrip(self, database, tmp_path):
-        path = tmp_path / "t.bin"
-        save_transactions_binary(database, path)
-        assert load_transactions_binary(path) == database
-
-    def test_empty_database(self, tmp_path):
-        path = tmp_path / "t.bin"
-        save_transactions_binary(TransactionDatabase([]), path)
-        assert len(load_transactions_binary(path)) == 0
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "t.bin"
-        path.write_bytes(b"\x00" * 16)
-        with pytest.raises(TransactionFormatError, match="magic"):
-            load_transactions_binary(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "t.bin"
-        path.write_bytes(b"\x01\x02")
-        with pytest.raises(TransactionFormatError, match="header"):
-            load_transactions_binary(path)
-
-    def test_truncated_body(self, database, tmp_path):
-        path = tmp_path / "t.bin"
-        save_transactions_binary(database, path)
-        path.write_bytes(path.read_bytes()[:-2])
-        with pytest.raises(TransactionFormatError, match="truncated"):
-            load_transactions_binary(path)
-
-    def test_trailing_garbage(self, database, tmp_path):
-        path = tmp_path / "t.bin"
-        save_transactions_binary(database, path)
-        path.write_bytes(path.read_bytes() + b"\xff\xff")
-        with pytest.raises(TransactionFormatError, match="trailing"):
-            load_transactions_binary(path)
-
-    def test_binary_smaller_than_text_for_big_ids(self, tmp_path):
-        db = TransactionDatabase([tuple(range(100000, 100050))] * 20)
-        text_path = tmp_path / "t.txt"
-        bin_path = tmp_path / "t.bin"
-        save_transactions_text(db, text_path)
-        save_transactions_binary(db, bin_path)
-        assert bin_path.stat().st_size < text_path.stat().st_size
-
-
 class TestCrossFormat:
     def test_generated_data_roundtrips_both(self, small_dataset, tmp_path):
+        """Text and the columnar store, the two on-disk formats."""
         db = small_dataset.database
         text_path = tmp_path / "d.txt"
-        bin_path = tmp_path / "d.bin"
         save_transactions_text(db, text_path)
-        save_transactions_binary(db, bin_path)
+        write_store(db, tmp_path / "store")
         assert load_transactions_text(text_path) == db
-        assert load_transactions_binary(bin_path) == db
+        assert TransactionDatabase(open_store(tmp_path / "store")) == db

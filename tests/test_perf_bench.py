@@ -146,7 +146,7 @@ class TestScale:
                 "--min-support",
                 "0.02",
                 "--workers-list",
-                "1",
+                "1,2",
                 "--label",
                 "unit",
                 "--out",
@@ -157,13 +157,25 @@ class TestScale:
         record = load_record(tmp_path / "BENCH_unit.json")
         assert record.kind == "scale"
         assert record.workload["rows"] == 300
-        configurations = ("fast-serial", "fast-process/w1", "materialized-serial")
+        configurations = (
+            "fast-serial",
+            "fast-process/w1",
+            "fast-process/w2",
+            "materialized-serial",
+        )
         assert sorted(record.digests) == sorted(configurations)
         assert len(set(record.digests.values())) == 1
         for configuration in configurations:
             assert record.metrics[f"{configuration}/peak_rss_bytes"] > 0
+        # w2 keeps its timing only where the host has two cores.
+        for configuration in ("fast-serial", "fast-process/w1", "materialized-serial"):
             assert f"{configuration}/wall_seconds" in record.metrics
         assert "fast-process/w1/speedup" in record.metrics
+        # Only a point that ran a pool has workers to measure; w1 runs
+        # its scans inline.
+        assert record.metrics["fast-process/w2/peak_rss_worker_bytes"] > 0
+        assert "fast-process/w1/peak_rss_worker_bytes" not in record.metrics
+        assert "fast-serial/peak_rss_worker_bytes" not in record.metrics
 
         assert load_history(tmp_path / "HISTORY.jsonl") == [record]
 

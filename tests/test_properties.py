@@ -25,13 +25,9 @@ from repro.core.itemsets import (
     minimum_count,
 )
 from repro.datagen.corpus import TransactionDatabase
-from repro.datagen.io import (
-    load_transactions_binary,
-    load_transactions_text,
-    save_transactions_binary,
-    save_transactions_text,
-)
+from repro.datagen.io import load_transactions_text, save_transactions_text
 from repro.parallel.registry import ALGORITHMS, mine_parallel
+from repro.store import open_store, write_store
 from repro.taxonomy.hierarchy import Taxonomy
 
 
@@ -231,12 +227,15 @@ class TestIoProperties:
         )
     )
     def test_roundtrip_both_formats(self, tmp_path_factory, transactions):
+        """Text and the columnar store; the store writer is handed the
+        raw, unnormalised rows and must normalise them as the database
+        does (the in-memory process spill relies on it)."""
         database = TransactionDatabase(transactions)
         directory = tmp_path_factory.mktemp("io")
         token = stdlib_random.randrange(10**9)
         text_path = directory / f"{token}.txt"
-        bin_path = directory / f"{token}.bin"
+        store_path = directory / f"{token}-store"
         save_transactions_text(database, text_path)
-        save_transactions_binary(database, bin_path)
+        write_store(transactions, store_path)
         assert load_transactions_text(text_path) == database
-        assert load_transactions_binary(bin_path) == database
+        assert TransactionDatabase(open_store(store_path)) == database

@@ -1,4 +1,4 @@
-"""The columnar transaction store: format, writer, reader, shm arena.
+"""The columnar transaction store: format, writer, reader.
 
 Covers the on-disk contract (round-trips, segmentation, byte-stable
 rewrites), the failure surface (corrupt segments, bad manifests,
@@ -21,13 +21,11 @@ from repro.datagen.generator import (
     generate_dataset_to_store,
     iter_transactions,
 )
-from repro.datagen.io import load_transactions_store, save_transactions_store
 from repro.datagen.params import GeneratorParams
 from repro.errors import StoreFormatError, exit_code_for
 from repro.store import (
     MANIFEST_NAME,
     TAXONOMY_NAME,
-    SharedArena,
     StoreWriter,
     open_store,
     write_store,
@@ -101,12 +99,6 @@ class TestRoundTrip:
                 (tmp_path / "a" / segment["file"]).read_bytes()
                 == (tmp_path / "b" / segment["file"]).read_bytes()
             )
-
-    def test_io_module_wrappers(self, tmp_path):
-        rows = random_rows(30)
-        save_transactions_store(iter(rows), tmp_path / "s", segment_rows=8)
-        store = load_transactions_store(tmp_path / "s")
-        assert store.to_list() == rows
 
 
 class TestWriter:
@@ -200,35 +192,6 @@ class TestPickleHandles:
         assert clone.total_items() == view.total_items()
         # The handle is tiny: no row data crosses the pickle boundary.
         assert len(pickle.dumps(view)) < 400
-
-    def test_shm_arena_round_trip(self):
-        from repro.datagen.corpus import TransactionDatabase
-        from repro.datagen.partition import partition_evenly
-
-        rows = random_rows(50)
-        partitions = partition_evenly(TransactionDatabase(rows), 4)
-        arena = SharedArena.from_partitions(partitions)
-        try:
-            assert arena.num_nodes == 4
-            for index, partition in enumerate(partitions):
-                view = arena.view(index)
-                assert len(view) == len(partition)
-                assert list(view) == list(partition)
-                assert view.total_items() == partition.total_items()
-                clone = pickle.loads(pickle.dumps(view))
-                assert list(clone) == list(partition)
-                clone.close()
-        finally:
-            arena.destroy()
-
-    def test_destroy_is_idempotent(self):
-        from repro.datagen.corpus import TransactionDatabase
-
-        arena = SharedArena.from_partitions(
-            [TransactionDatabase([(1, 2)]), TransactionDatabase([(3,)])]
-        )
-        arena.destroy()
-        arena.destroy()
 
 
 class TestStreamingDatagen:

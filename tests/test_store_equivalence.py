@@ -1,26 +1,31 @@
 """Store-backed mining is byte-identical to in-memory mining.
 
 The store's contract is not "approximately the same itemsets" — it is
-that swapping ``TransactionDatabase`` for mmap store views (or the
-shared-memory arena) changes **nothing observable**: the same passes,
-the same supports, the same per-node counters, the same
+that swapping ``TransactionDatabase`` for mmap store views (over a
+dataset's store, or over the temporary store an in-memory process
+cluster spills to) changes **nothing observable**: the same passes, the
+same supports, the same per-node counters, the same
 :func:`~repro.perf.bench.run_digest`.  These tests pin that contract
 for Cumulate and every parallel miner, on both executors.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.machine import Cluster
 from repro.core.cumulate import cumulate
+from repro.datagen.corpus import TransactionDatabase
 from repro.datagen.generator import generate_dataset, generate_dataset_to_store
 from repro.datagen.params import GeneratorParams
+from repro.datagen.partition import partition_weighted
 from repro.parallel.registry import ALGORITHMS, make_miner, mine_parallel
 from repro.perf.bench import run_digest
 from repro.perf.config import CountingConfig
-from repro.store import open_store
+from repro.store import StoreView, open_store
 
 PARAMS = GeneratorParams(
     num_transactions=250,
@@ -117,7 +122,9 @@ class TestParallelMiners:
 
 
 class TestProcessExecutor:
-    """The zero-copy handles: mmap views and the shm arena, under fork."""
+    """The zero-copy handles under fork: views over a dataset's store,
+    and over the temporary store a process cluster spills in-memory
+    partitions to."""
 
     def test_store_process_matches_serial_list(self, dataset, store_dir):
         config_serial = ClusterConfig(num_nodes=4, memory_per_node=60_000)
@@ -135,7 +142,8 @@ class TestProcessExecutor:
         stored = mine_store(store_dir, dataset.taxonomy, "H-HPGM", config_process)
         assert run_digest(stored) == run_digest(baseline)
 
-    def test_shm_arena_process_matches_serial(self, dataset):
+    @pytest.mark.parametrize("algorithm", ["HPGM", "NPGM"])
+    def test_spill_process_matches_serial(self, algorithm, dataset):
         config_serial = ClusterConfig(num_nodes=4, memory_per_node=60_000)
         config_process = ClusterConfig(
             num_nodes=4, memory_per_node=60_000, executor="process", workers=2
@@ -144,42 +152,54 @@ class TestProcessExecutor:
             dataset.database,
             dataset.taxonomy,
             MIN_SUPPORT,
-            algorithm="HPGM",
+            algorithm=algorithm,
             config=config_serial,
             max_k=MAX_K,
         )
-        # In-memory partitions + process executor auto-promote to the
-        # shared-memory arena (see Cluster.__init__).
-        promoted = mine_parallel(
+        # In-memory partitions + process executor spill to a temporary
+        # store (see Cluster.__init__).
+        spilled = mine_parallel(
             dataset.database,
             dataset.taxonomy,
             MIN_SUPPORT,
-            algorithm="HPGM",
+            algorithm=algorithm,
             config=config_process,
             max_k=MAX_K,
         )
-        assert run_digest(promoted) == run_digest(baseline)
+        assert run_digest(spilled) == run_digest(baseline)
 
-    def test_shm_opt_out_still_matches(self, dataset, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        config_process = ClusterConfig(
-            num_nodes=4, memory_per_node=60_000, executor="process", workers=2
+    @pytest.mark.parametrize(
+        "weights",
+        [(5.0, 1.0, 3.0, 1.0), (1.0, 0.0, 2.0, 0.0)],
+        ids=["uneven", "empty-nodes"],
+    )
+    def test_weighted_spill_matches_serial(self, weights, dataset):
+        partitions = partition_weighted(dataset.database, weights)
+        digests = []
+        for executor in ("serial", "process"):
+            config = ClusterConfig(
+                num_nodes=4, memory_per_node=60_000, executor=executor, workers=2
+            )
+            cluster = Cluster(config, partitions)
+            try:
+                run = make_miner("H-HPGM", cluster, dataset.taxonomy).mine(
+                    MIN_SUPPORT, max_k=MAX_K
+                )
+            finally:
+                cluster.close()
+            digests.append(run_digest(run))
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("rows", [50, 5_000])
+    def test_spilled_disks_pickle_as_small_handles(self, rows):
+        database = TransactionDatabase(
+            tuple(range(index % 97, index % 97 + 8)) for index in range(rows)
         )
-        config_serial = ClusterConfig(num_nodes=4, memory_per_node=60_000)
-        baseline = mine_parallel(
-            dataset.database,
-            dataset.taxonomy,
-            MIN_SUPPORT,
-            algorithm="NPGM",
-            config=config_serial,
-            max_k=MAX_K,
-        )
-        pickled = mine_parallel(
-            dataset.database,
-            dataset.taxonomy,
-            MIN_SUPPORT,
-            algorithm="NPGM",
-            config=config_process,
-            max_k=MAX_K,
-        )
-        assert run_digest(pickled) == run_digest(baseline)
+        config = ClusterConfig(num_nodes=4, executor="process", workers=2)
+        cluster = Cluster.from_database(config, database)
+        try:
+            for node in cluster.nodes:
+                assert isinstance(node.disk.partition, StoreView)
+                assert len(pickle.dumps(node.disk)) < 400
+        finally:
+            cluster.close()
