@@ -21,9 +21,9 @@ algorithm in the paper:
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable
-from itertools import combinations
+from itertools import chain, combinations
 
-from repro.core.itemsets import Itemset, has_ancestor_pair
+from repro.core.itemsets import Itemset
 from repro.errors import MiningError
 from repro.taxonomy.hierarchy import Taxonomy
 
@@ -41,7 +41,9 @@ def apriori_gen(large_prev: Collection[Itemset], k: int) -> list[Itemset]:
     Returns
     -------
     Sorted list of candidate k-itemsets after the join and subset-prune
-    steps.
+    steps.  At k == 2 every 1-itemset shares the empty prefix and a pair
+    has no subset left to prune, so the candidates are the sorted pairs
+    of the large items.
     """
     if k < 2:
         raise MiningError(f"apriori_gen needs k >= 2, got {k}")
@@ -52,6 +54,8 @@ def apriori_gen(large_prev: Collection[Itemset], k: int) -> list[Itemset]:
             raise MiningError(
                 f"expected ({k - 1})-itemsets, got {itemset!r}"
             )
+    if k == 2:
+        return list(combinations([itemset[0] for itemset in ordered], 2))
 
     # Join: group by (k-2)-prefix; merge every ordered pair within a group.
     by_prefix: dict[Itemset, list[int]] = {}
@@ -83,16 +87,32 @@ def _all_subsets_large(candidate: Itemset, large_set: set[Itemset], k: int) -> b
 
 
 def filter_ancestor_pairs(
-    candidates: Iterable[Itemset],
+    candidates: Collection[Itemset],
     taxonomy: Taxonomy,
 ) -> list[Itemset]:
     """Drop candidates containing both an item and one of its ancestors.
 
     Cumulate applies this at pass 2 only: for k > 2 the prune step
     already removes such candidates because their 2-subsets were never
-    large candidates.
+    large candidates.  The (item, ancestor) pairs among the candidates'
+    items are collected once, as sorted pairs, and a candidate is
+    dropped when one of its item pairs is among them — what
+    :func:`~repro.core.itemsets.has_ancestor_pair` decides per
+    candidate.
     """
-    return [c for c in candidates if not has_ancestor_pair(c, taxonomy)]
+    universe = candidate_item_universe(candidates)
+    related = {
+        (item, ancestor) if item < ancestor else (ancestor, item)
+        for item in universe
+        if item in taxonomy
+        for ancestor in taxonomy.ancestors(item)
+        if ancestor in universe
+    }
+    return [
+        c
+        for c in candidates
+        if (c not in related if len(c) == 2 else related.isdisjoint(combinations(c, 2)))
+    ]
 
 
 def generate_candidates(
@@ -113,10 +133,7 @@ def generate_candidates(
 
 def candidate_item_universe(candidates: Iterable[Itemset]) -> set[int]:
     """Every item referenced by at least one candidate."""
-    universe: set[int] = set()
-    for candidate in candidates:
-        universe.update(candidate)
-    return universe
+    return set(chain.from_iterable(candidates))
 
 
 def referenced_ancestors(

@@ -30,7 +30,7 @@ index, which folds once — the coordinator reduce of Figures 7/9/11.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -220,9 +220,11 @@ class CounterTally:
 
     ``probes``, ``generated`` and ``hits`` are the replica's metric
     totals (``hits`` is the sum of all its count increments — a node's
-    ``increments``).  ``counts`` holds its non-zero count increments;
-    ``pending`` is the fast k == 2 kernel's deferred ``{mask: weight}``
-    map, which the index folds once for all replicas.
+    ``increments``).  ``counts`` holds its non-zero count increments.
+    The fast k == 2 kernel defers its increments instead: ``vector``
+    holds them per candidate in the index's order (with numpy; an
+    integer array), ``pending`` as a ``{mask: weight}`` map (without);
+    the index sums every replica's and folds once.
     """
 
     probes: int = 0
@@ -230,6 +232,19 @@ class CounterTally:
     hits: int = 0
     counts: dict[Itemset, int] = field(default_factory=dict)
     pending: dict[int, int] = field(default_factory=dict)
+    vector: Sequence[int] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        # By value: an array's own ``==`` is elementwise.
+        if not isinstance(other, CounterTally):
+            return NotImplemented
+        mine, theirs = self.vector, other.vector
+        return (
+            (self.probes, self.generated, self.hits, self.counts, self.pending)
+            == (other.probes, other.generated, other.hits, other.counts, other.pending)
+            and (mine is None) == (theirs is None)
+            and (mine is None or list(mine) == list(theirs))
+        )
 
 
 def pickled_tally(tally: CounterTally) -> CounterTally | None:

@@ -32,6 +32,19 @@ class TransactionDatabase:
             tuple(sorted(set(t))) for t in transactions
         )
 
+    @classmethod
+    def _from_normalised(
+        cls, transactions: tuple[Transaction, ...]
+    ) -> "TransactionDatabase":
+        """Wrap rows that are already sorted, deduplicated tuples.
+
+        For rows taken from another database (a slice or a stride of
+        its rows), which are normalised already; skips re-sorting.
+        """
+        database = object.__new__(cls)
+        database._transactions = transactions
+        return database
+
     def __len__(self) -> int:
         return len(self._transactions)
 
@@ -73,7 +86,7 @@ class TransactionDatabase:
 
     def slice(self, start: int, stop: int) -> "TransactionDatabase":
         """A new database over ``transactions[start:stop]``."""
-        return TransactionDatabase(self._transactions[start:stop])
+        return TransactionDatabase._from_normalised(self._transactions[start:stop])
 
     def split(self, num_parts: int) -> list["TransactionDatabase"]:
         """Split into ``num_parts`` contiguous, near-equal databases.

@@ -26,14 +26,17 @@ def partition_evenly(
     """Round-robin the transactions over ``num_nodes`` local databases.
 
     Round-robin (rather than contiguous splitting) decorrelates node
-    assignment from generation order, matching an even bulk load.
+    assignment from generation order, matching an even bulk load: node
+    ``i`` gets ``rows[i::num_nodes]``.  The source's rows are already
+    normalised, so each bucket keeps them as they are.
     """
     if num_nodes <= 0:
         raise DataGenerationError(f"num_nodes must be positive, got {num_nodes}")
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(num_nodes)]
-    for index, transaction in enumerate(database):
-        buckets[index % num_nodes].append(transaction)
-    return [TransactionDatabase(bucket) for bucket in buckets]
+    rows = database.transactions
+    return [
+        TransactionDatabase._from_normalised(rows[node::num_nodes])
+        for node in range(num_nodes)
+    ]
 
 
 def partition_weighted(

@@ -75,6 +75,14 @@ class HHPGM(ParallelMiner):
         """Hook for the skew-handling subclasses; plain H-HPGM copies nothing."""
         return set()
 
+    def _copies_all(self, candidates: list[Itemset]) -> bool:
+        """Will :meth:`_select_duplicates` select all of ``candidates``?
+
+        Then no candidate stays in a partition, and the pass skips the
+        root-key placement that the selection would not read.
+        """
+        return False
+
     def _run_pass(
         self,
         k: int,
@@ -89,9 +97,12 @@ class HHPGM(ParallelMiner):
 
         universe = candidate_item_universe(candidates)
         chains = build_closure_table(self._full_index, self._large_items, universe)
-        partitions, owners = partition_candidates_by_root(
-            candidates, root_of, num_nodes
-        )
+        if self._copies_all(candidates):
+            partitions, owners = [[] for _ in range(num_nodes)], {}
+        else:
+            partitions, owners = partition_candidates_by_root(
+                candidates, root_of, num_nodes
+            )
         owner_of = {
             candidate: node
             for node, partition in enumerate(partitions)
@@ -130,15 +141,12 @@ class HHPGM(ParallelMiner):
         # from the broadcast L_{k-1}, so no coordination is needed.
         useful_for: list[set[int]] = []
         for partition in partitions:
-            partition_universe = {item for c in partition for item in c}
+            partition_universe = candidate_item_universe(partition)
             useful_for.append(
                 {
                     item
                     for item in self._large_items
-                    if any(
-                        link in partition_universe
-                        for link in chains.get(item, (item,))
-                    )
+                    if not partition_universe.isdisjoint(chains.get(item, (item,)))
                 }
             )
 
@@ -155,13 +163,14 @@ class HHPGM(ParallelMiner):
             counting.root_keyed_counter(partition, k, chains, root_of)
             for partition in partitions
         ]
-        dup_counter = (
-            counting.root_keyed_counter(
-                [c for c in candidates if c in duplicated], k, chains, root_of
+        dup_counter = None
+        if duplicated:
+            copied = (
+                candidates
+                if len(duplicated) == len(candidates)
+                else [c for c in candidates if c in duplicated]
             )
-            if duplicated
-            else None
-        )
+            dup_counter = counting.root_keyed_counter(copied, k, chains, root_of)
         for node, partition in zip(cluster.nodes, partitions):
             node.charge_candidates(len(partition) + len(duplicated))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.itemsets import Itemset
 from repro.faults.recovery import RecoveryProfile
-from repro.parallel.duplication import select_tree_grain
+from repro.parallel.duplication import everything_fits, select_tree_grain
 from repro.parallel.hhpgm import HHPGM
 
 
@@ -34,6 +34,9 @@ class HHPGMTreeGrain(HHPGM):
             "survivor; only the non-duplicated root partition is "
             "reassigned",
         )
+
+    def _copies_all(self, candidates: list[Itemset]) -> bool:
+        return everything_fits(candidates, self.cluster.config.memory_per_node)
 
     def _select_duplicates(
         self,

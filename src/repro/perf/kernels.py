@@ -22,13 +22,20 @@ The kernels here keep the contract by splitting the two concerns:
   only branches whose prefix is contained in the transaction are
   descended.  A candidate is contained in the transaction exactly when
   the naive kernel's enumeration would have hit it (see the per-class
-  notes), so the resulting ``counts`` are identical.
+  notes), so the resulting ``counts`` are identical.  The root-keyed
+  counter's k == 2 counts come off the same batch product as its
+  volume: one integer increment vector in candidate order per counter.
+  H-HPGM's per-node replicas hand theirs back, the index sums them and
+  one fold writes the sum into the counts — the coordinator's
+  sum-reduce.
 
 Each fast counter also memoizes per distinct input: synthetic and real
 market-basket corpora repeat transactions heavily, and two transactions
 that filter to the same relevant set produce byte-identical outcomes —
 the memo replays the stored hit list and adds the closed-form metric
-increments at the stored weight.
+increments at the stored weight.  (The root-keyed k == 2 batch product
+needs no memo: it builds each fragment's bit row from an item →
+chain-bit table in numpy.)
 
 Equivalence against the naive kernels — ``counts``, ``probes``,
 ``generated``, and return values, across all three counter classes —
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from itertools import chain
+from itertools import chain, repeat
 from math import comb
 
 from repro.core.counting import CounterTally, pickled_tally
@@ -253,12 +260,16 @@ class _DeferredPairFold:
     everything on the first :attr:`counts` read — through a weighted
     bit-row co-occurrence product when numpy is available (float32 or
     float64 chosen so integer arithmetic stays exact), or an exact
-    pure-Python mask loop otherwise.  Integer additions commute, so the
-    result is identical to folding per call.
+    pure-Python mask loop otherwise.  A counter that already holds its
+    increments as one integer vector in candidate order (``_vector``,
+    see :class:`FastRootKeyedClosureCounter`) has it written into the
+    counts by the same fold.  Integer additions commute, so the result
+    is identical to folding per call.
     """
 
     def _init_fold(self, k: int) -> None:
         self._pending: dict[int, int] = {}
+        self._vector = None
         self._cand_bits = None
         if k == 2 and self._trie is not None and _np is not None:
             bit_of = self._trie.bit_of
@@ -279,16 +290,18 @@ class _DeferredPairFold:
 
     @property
     def counts(self) -> dict[Itemset, int]:
-        """Per-candidate supports; folds any deferred masks first."""
-        if self._pending:
+        """Per-candidate supports; folds any deferred increments first."""
+        if self._pending or self._vector is not None:
             self._flush()
         return self._counts
 
     def _flush(self) -> int:
-        """Fold all pending (mask, weight) pairs into the counts.
+        """Fold the increment vector and all pending (mask, weight) pairs
+        into the counts.
 
-        The numpy path takes one co-occurrence product of the masks
-        (:func:`_cooccurrence`): entry ``(a, b)`` is exactly the
+        The vector holds one increment per candidate in fold-layout
+        order.  For the masks, the numpy path takes one co-occurrence
+        product (:func:`_cooccurrence`): entry ``(a, b)`` is exactly the
         increment candidate ``(item_a, item_b)`` would have received
         per call.
 
@@ -296,26 +309,27 @@ class _DeferredPairFold:
         summed in exact Python integers.
         """
         pending, self._pending = self._pending, {}
-        total = 0
-        if self._cand_bits is None or len(pending) < 16:
-            counts = self._counts
-            contained_mask = self._trie.contained_mask
-            for mask, weight in pending.items():
-                matched = contained_mask(mask)
-                total += weight * len(matched)
-                for candidate in matched:
-                    counts[candidate] += weight
-            return total
-        ordered, first_bits, second_bits = self._cand_bits
-        co = _cooccurrence(
-            list(pending), list(pending.values()), len(self._trie.bit_of)
-        )
+        vector, self._vector = self._vector, None
+        if self._cand_bits is not None and len(pending) >= 16:
+            _, first_bits, second_bits = self._cand_bits
+            co = _cooccurrence(
+                list(pending), list(pending.values()), len(self._trie.bit_of)
+            )
+            folded = co[first_bits, second_bits].astype(_np.int64)
+            vector = folded if vector is None else vector + folded
+            pending = {}
         counts = self._counts
-        for candidate, value in zip(ordered, co[first_bits, second_bits].tolist()):
-            if value:
-                increment = int(value)
-                counts[candidate] += increment
-                total += increment
+        total = 0
+        if vector is not None:
+            for candidate, increment in zip(self._cand_bits[0], vector.tolist()):
+                if increment:
+                    counts[candidate] += increment
+                    total += increment
+        for mask, weight in pending.items():
+            matched = self._trie.contained_mask(mask)
+            total += weight * len(matched)
+            for candidate in matched:
+                counts[candidate] += weight
         return total
 
 
@@ -526,23 +540,29 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
     number of bit pairs ``{i, j} ⊆ x`` whose two items are both members
     of the root key their two roots form — per key, exactly the
     ``C(|pool|, 2)`` or ``|pool_1| * |pool_2|`` above.  So
-    :meth:`add_transactions` meters a whole batch off its masks: both
-    totals are sums over the batch's co-occurrence product ``Σ w·x·xᵀ``
-    (over the candidates' bit pairs and over the index's key-member bit
-    pairs), taken through numpy for 16 or more distinct masks, or per
-    mask in pure Python otherwise.  The count fold is **deferred**: the
-    masks join a ``{extension_mask: weight}`` accumulator, and the first
-    read of :attr:`counts` folds all pending masks at once (see
-    :class:`_DeferredPairFold`).  Either way every figure is a sum of
-    integer increments, so it is identical to counting per fragment.
+    :meth:`add_transactions` counts a whole batch at once.  With numpy
+    the batch becomes one bit-row matrix ``X`` (a row per fragment,
+    the OR of its items' rows in an item → chain-bit table) and one
+    co-occurrence product ``G = w·XᵀX``: the candidates' bit pairs of
+    ``G`` are the batch's count increments, kept as an integer vector
+    in candidate order (int32, or int64 when the batch's total weight
+    needs it), and the index's key-member bit pairs of ``G`` sum to its
+    volume.  Without numpy each fragment's mask is metered in pure
+    Python and joins a ``{extension_mask: weight}`` accumulator.  Either
+    way the count fold is **deferred**: the first read of
+    :attr:`counts` writes the summed vector, or folds the pending
+    masks, at once (see :class:`_DeferredPairFold`).  Every figure is a
+    sum of integer increments, so it is identical to counting per
+    fragment.
 
     Replicas (see :class:`~repro.core.counting.RootKeyedClosureCounter`
-    for the contract) share the trie, the key-member pair tables and
-    the fold layout; each keeps its own probes/generated/hits, deferred
-    masks, memo and per-item caches, and its counts are sparse (only
-    candidates it hit, k >= 3).  A k == 2 replica's tally is therefore
-    just metric totals plus its ``{mask: weight}`` map, and the index
-    folds every node's masks in one :meth:`_flush`.
+    for the contract) share the trie, the chain-bit and key-member pair
+    tables and the fold layout; each keeps its own probes/generated/hits,
+    deferred increments, memo and per-item caches, and its counts are
+    sparse (only candidates it hit, k >= 3).  A k == 2 replica's tally
+    is therefore just metric totals plus its increment vector (or its
+    ``{mask: weight}`` map), and the index sums every node's and folds
+    once in :meth:`_flush` — the coordinator's sum-reduce.
     """
 
     def __init__(
@@ -568,17 +588,22 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
         self._universe = {item for c in self._counts for item in c}
         self._trie = CandidateTrie(self._counts, k) if self._counts else None
         self._key_items: dict[tuple[int, ...], set[int]] = {}
-        # k == 2: bit → mask of its key-member partners, and (numpy)
-        # the same pairs as an upper-triangular boolean table — the
-        # metering tables of :meth:`add_transactions`, built once per
-        # index.
+        # k == 2: bit → mask of its key-member partners and, with numpy,
+        # the same pairs as an upper-triangular boolean table plus the
+        # item → chain-bit table (:func:`_chain_bit_table`) — the tables
+        # of :meth:`add_transactions`, built once per index.
         self._partners: list[int] = []
         self._pair_table = None
+        self._chain_rows: dict[int, int] = {}
+        self._chain_bits = None
         if k == 2:
             if self._trie is not None:
                 self._partners = _key_member_partners(self._trie, root_of)
                 if _np is not None:
                     self._pair_table = _upper_pair_table(self._partners)
+                    self._chain_rows, self._chain_bits = _chain_bit_table(
+                        self._trie, ancestor_table
+                    )
         else:
             for candidate in self._counts:
                 key = tuple(sorted(root_of[item] for item in candidate))
@@ -598,23 +623,26 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
         clone._counts = Counter()
         clone.probes = clone.generated = clone.hits = 0
         clone._pending = {}
+        clone._vector = None
         clone._memo = {} if self._memo is not None else None
         clone._kept = {}
         clone._kept_mask = {}
         return clone
 
     def tally(self) -> CounterTally:
-        """Metric totals, non-zero counts and the unfolded masks."""
+        """Metric totals, non-zero counts and the unfolded increments."""
         return CounterTally(
             probes=self.probes,
             generated=self.generated,
             hits=self.hits,
             counts={c: n for c, n in self._counts.items() if n},
             pending=dict(self._pending),
+            vector=self._vector,
         )
 
     def absorb(self, tally: CounterTally) -> None:
-        """Add a replica's tally; its masks join this counter's next fold."""
+        """Add a replica's tally; its increments join this counter's next
+        fold (vectors summed, masks merged)."""
         self.probes += tally.probes
         self.generated += tally.generated
         self.hits += tally.hits
@@ -624,6 +652,8 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
         pending = self._pending
         for mask, weight in tally.pending.items():
             pending[mask] = pending.get(mask, 0) + weight
+        if tally.vector is not None:
+            self._vector = _sum_counts(self._vector, tally.vector)
 
     def __reduce__(self):
         # Rebuilt from its inputs on unpickling; caches are not shipped.
@@ -657,34 +687,76 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
         return extension
 
     def _meter_pairs(self, batch: dict[int, int]) -> tuple[int, int]:
-        """k == 2: ``(volume, hits)`` of a ``{extension_mask: weight}`` batch.
+        """k == 2, pure Python: ``(volume, hits)`` of a
+        ``{extension_mask: weight}`` batch.
 
         Volume counts the key-member bit pairs inside each mask, hits the
-        candidate bit pairs, both weighted.  From 16 distinct masks on
-        (with numpy) both are read off one co-occurrence product; the
-        reductions run in int64, so they are exact at any total.
+        candidate bit pairs, both weighted.
         """
-        if self._pair_table is None or len(batch) < 16:
-            partners = self._partners
-            hit_count_mask = self._trie.hit_count_mask
-            ends = hits = 0
-            for mask, weight in batch.items():
-                # Each pair is met once from either end.
-                pair_ends = 0
-                pending = mask
-                while pending:
-                    low = pending & -pending
-                    pending ^= low
-                    pair_ends += (partners[low.bit_length() - 1] & mask).bit_count()
-                ends += weight * pair_ends
-                hits += weight * hit_count_mask(mask)
-            return ends // 2, hits
-        co = _cooccurrence(list(batch), list(batch.values()), len(self._partners))
-        _, first_bits, second_bits = self._cand_bits
-        return (
-            int(co[self._pair_table].astype(_np.int64).sum()),
-            int(co[first_bits, second_bits].astype(_np.int64).sum()),
+        partners = self._partners
+        hit_count_mask = self._trie.hit_count_mask
+        ends = hits = 0
+        for mask, weight in batch.items():
+            # Each pair is met once from either end.
+            pair_ends = 0
+            pending = mask
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                pair_ends += (partners[low.bit_length() - 1] & mask).bit_count()
+            ends += weight * pair_ends
+            hits += weight * hit_count_mask(mask)
+        return ends // 2, hits
+
+    def _count_pairs(self, fragments: Iterable[tuple[int, ...]], weight: int) -> int:
+        """k == 2 with numpy: count a batch as one bit-row matrix.
+
+        Row ``r`` of ``X`` is the OR of the chain-bit rows of fragment
+        ``r``'s items; ``XᵀX`` is summed over blocks of
+        :data:`_PRODUCT_ROWS` rows in float32 (float64 from 2**24 rows
+        on), exact because no entry exceeds the row count.  The
+        candidates' bit pairs of it, times ``weight``, are the batch's
+        increment vector; the key-member pairs sum to its volume.
+        """
+        rows = [fragment for fragment in fragments if len(fragment) >= 2]
+        if not rows:
+            return 0
+        table = self._chain_bits
+        lengths = _np.fromiter(map(len, rows), dtype=_np.intp, count=len(rows))
+        ends = _np.cumsum(lengths)
+        starts = ends - lengths
+        # Items without a chain bit read the table's last row, all zero.
+        zero_row = repeat(len(table) - 1)
+        items = _np.fromiter(
+            map(self._chain_rows.get, chain.from_iterable(rows), zero_row),
+            dtype=_np.intp,
+            count=int(ends[-1]),
         )
+        width = len(self._partners)
+        dtype = _np.float32 if len(rows) < (1 << 24) else _np.float64
+        co = _np.zeros((width, width), dtype=dtype)
+        for first in range(0, len(rows), _PRODUCT_ROWS):
+            last = min(first + _PRODUCT_ROWS, len(rows))
+            base = starts[first]
+            packed = _np.bitwise_or.reduceat(
+                table[items[base : ends[last - 1]]], starts[first:last] - base, axis=0
+            )
+            bits = _np.unpackbits(
+                packed, axis=1, count=width, bitorder="little"
+            ).astype(dtype)
+            co += bits.T @ bits
+        _, first_bits, second_bits = self._cand_bits
+        vector = co[first_bits, second_bits].astype(_exact_int(len(rows) * weight))
+        if weight != 1:
+            vector *= weight
+        volume = int(co[self._pair_table].astype(_np.int64).sum()) * weight
+        hits = int(vector.sum(dtype=_np.int64))
+        if hits:
+            self._vector = _sum_counts(self._vector, vector)
+        self.generated += volume
+        self.probes += volume
+        self.hits += hits
+        return hits
 
     def _analyze(self, fragment: tuple[int, ...]) -> tuple[int, tuple[Itemset, ...]]:
         kept_cache = self._kept
@@ -741,12 +813,16 @@ class FastRootKeyedClosureCounter(_DeferredPairFold):
         """Count routed, sorted, lowest-large fragments ``weight`` times each.
 
         Returns the total hits the batch adds (the sum of its count
-        increments).  For k == 2 each fragment only contributes its
-        extension mask (memoized per fragment); the batch's metrics come
-        from :meth:`_meter_pairs` and its masks join the deferred fold.
+        increments).  For k == 2 with numpy the batch is counted by
+        :meth:`_count_pairs`; without, each fragment only contributes
+        its extension mask (memoized per fragment), the batch's metrics
+        come from :meth:`_meter_pairs` and its masks join the deferred
+        fold.
         """
         if self._trie is None:
             return 0
+        if self._chain_bits is not None:
+            return self._count_pairs(fragments, weight)
         k = self.k
         memo = self._memo
         if k != 2:
@@ -831,6 +907,45 @@ def _key_member_partners(trie: CandidateTrie, root_of: Mapping[int, int]) -> lis
                 side ^= low
                 partners[low.bit_length() - 1] |= others & ~low
     return partners
+
+
+def _chain_bit_table(trie: CandidateTrie, table: Mapping[int, tuple[int, ...]]):
+    """Item → row of its chain's candidate bits (k == 2, numpy).
+
+    Returns ``(row_of, rows)``: ``rows`` holds one packed little-endian
+    bit row per item whose chain (``table``, or the item alone) meets
+    the candidates' items, plus a last, all-zero row for every other
+    item; ``row_of`` maps an item to its row.
+    """
+    bit_of = trie.bit_of
+    nbytes = (len(bit_of) + 7) // 8
+    row_of: dict[int, int] = {}
+    masks: list[int] = []
+    for item in sorted(set(table).union(bit_of)):
+        mask = 0
+        for link in table.get(item, (item,)):
+            mask |= bit_of.get(link, 0)
+        if mask:
+            row_of[item] = len(masks)
+            masks.append(mask)
+    masks.append(0)
+    blob = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
+    return row_of, _np.frombuffer(blob, dtype=_np.uint8).reshape(len(masks), nbytes)
+
+
+def _exact_int(bound: int):
+    """The narrower integer dtype that holds every value up to ``bound``."""
+    return _np.int32 if bound < (1 << 31) else _np.int64
+
+
+def _sum_counts(total, vector):
+    """``total + vector`` (``total`` may be ``None``) in an exact dtype."""
+    if total is None:
+        return vector
+    if total.dtype == vector.dtype == _np.int32:
+        if int(total.max()) + int(vector.max()) >= (1 << 31):
+            return total.astype(_np.int64) + vector
+    return total + vector
 
 
 def _upper_pair_table(partners: Sequence[int]):

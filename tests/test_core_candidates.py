@@ -1,5 +1,8 @@
 """Unit tests for repro.core.candidates."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from repro.core.candidates import (
@@ -9,6 +12,7 @@ from repro.core.candidates import (
     generate_candidates,
     referenced_ancestors,
 )
+from repro.core.itemsets import has_ancestor_pair
 from repro.errors import MiningError
 
 
@@ -77,6 +81,58 @@ class TestAncestorFilter:
         # explicit filter only applies at pass 2.
         large = [(9, 10), (9, 11), (10, 11)]
         assert generate_candidates(large, 3, paper_taxonomy) == [(9, 10, 11)]
+
+
+def join_and_prune(large_prev, k):
+    """The textbook apriori-gen: join on (k-2)-prefixes, prune by subsets."""
+    large_set = set(large_prev)
+    by_prefix = {}
+    for itemset in sorted(large_set):
+        by_prefix.setdefault(itemset[:-1], []).append(itemset[-1])
+    candidates = []
+    for prefix, tails in sorted(by_prefix.items()):
+        for a, b in combinations(tails, 2):
+            candidate = prefix + (a, b)
+            if all(
+                candidate[:drop] + candidate[drop + 1 :] in large_set
+                for drop in range(k)
+            ):
+                candidates.append(candidate)
+    return sorted(candidates)
+
+
+class TestAgainstTheJoinPath:
+    """C2 straight from the L1 pairs, and the pair-set ancestor filter,
+    equal the join path and a per-candidate ``has_ancestor_pair``."""
+
+    # 40-42 are not in the paper taxonomy.
+    POOL = tuple(range(1, 16)) + (40, 41, 42)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pass_two(self, paper_taxonomy, seed):
+        rng = random.Random(300 + seed)
+        large = [(item,) for item in rng.sample(self.POOL, rng.randint(0, 12))]
+        rng.shuffle(large)
+        joined = join_and_prune(large, 2)
+        assert apriori_gen(large, 2) == joined
+        expected = [c for c in joined if not has_ancestor_pair(c, paper_taxonomy)]
+        assert filter_ancestor_pairs(joined, paper_taxonomy) == expected
+        assert generate_candidates(large, 2, paper_taxonomy) == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pass_three(self, paper_taxonomy, seed):
+        rng = random.Random(400 + seed)
+        pairs = sorted(
+            {tuple(sorted(rng.sample(self.POOL, 2))) for _ in range(rng.randint(3, 40))}
+        )
+        candidates = apriori_gen(pairs, 3)
+        assert candidates == join_and_prune(pairs, 3)
+        expected = [c for c in candidates if not has_ancestor_pair(c, paper_taxonomy)]
+        assert filter_ancestor_pairs(candidates, paper_taxonomy) == expected
+
+    def test_filter_drops_at_both_k(self, paper_taxonomy):
+        candidates = [(1, 10), (9, 40), (4, 9, 15)]
+        assert filter_ancestor_pairs(candidates, paper_taxonomy) == [(9, 40)]
 
 
 class TestUniverseHelpers:

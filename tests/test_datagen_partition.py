@@ -1,10 +1,15 @@
 """Unit tests for repro.datagen.partition."""
 
+import random
+
 import pytest
 
+from repro.cluster.config import ClusterConfig
+from repro.cluster.machine import Cluster
 from repro.datagen.corpus import TransactionDatabase
 from repro.datagen.partition import partition_evenly, partition_weighted
 from repro.errors import DataGenerationError
+from repro.store import open_store, write_store
 
 
 @pytest.fixture
@@ -37,6 +42,30 @@ class TestPartitionEvenly:
     def test_invalid_nodes(self, database):
         with pytest.raises(DataGenerationError):
             partition_evenly(database, 0)
+
+    @pytest.mark.parametrize("nodes", [1, 3, 8, 40])
+    def test_equals_round_robin_and_store_placement(self, tmp_path, nodes):
+        rng = random.Random(nodes)
+        # Unsorted rows with repeated items, normalised by the database.
+        database = TransactionDatabase(
+            [rng.choices(range(50), k=rng.randint(0, 9)) for _ in range(200)]
+        )
+        parts = partition_evenly(database, nodes)
+        buckets = [[] for _ in range(nodes)]
+        for index, row in enumerate(database):
+            buckets[index % nodes].append(row)
+        assert parts == [TransactionDatabase(bucket) for bucket in buckets]
+        assert all(type(row) is tuple for part in parts for row in part)
+
+        write_store(database, tmp_path / "rows")
+        store = open_store(tmp_path / "rows")
+        cluster = Cluster.from_store(ClusterConfig(num_nodes=nodes), store)
+        try:
+            assert [list(node.disk.scan()) for node in cluster.nodes] == [
+                list(part) for part in parts
+            ]
+        finally:
+            cluster.close()
 
 
 class TestPartitionWeighted:

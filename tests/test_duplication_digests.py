@@ -14,14 +14,20 @@ Two memory settings per variant: unbounded (TGD and FGD copy all of
 ``Ck``, PGD its lowest-level closures), and a bound under which the
 greedy packer rejects some groups in passes 2 and 3, so resident
 partitions, routing and the duplicated set all carry work at once.
+The unbounded TGD and FGD mines also pin their event sink.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.machine import Cluster
+from repro.obs import EventSink, Telemetry
+from repro.parallel import hhpgm, hhpgm_fgd, hhpgm_tgd
 from repro.parallel.registry import make_miner
 from repro.perf.bench import run_digest
 from repro.perf.config import CountingConfig
@@ -78,3 +84,60 @@ def test_run_digest_pinned(small_dataset, algorithm, memory, leg):
         for pass_stats in run.stats.passes[1:]:
             assert 0 < pass_stats.duplicated_candidates < pass_stats.num_candidates
     assert run_digest(run) == GOLDEN[(algorithm, memory)]
+
+
+#: sha256 of the event sink of an unbounded mine, where the selection
+#: is all of ``Ck`` in every pass.
+SINK_GOLDEN = {
+    "H-HPGM-TGD": "26758924050f1209284033383e153665c6d31f5af994e44bfffb7f88d4ec1a57",
+    "H-HPGM-FGD": "b91f7d4e4c4fd2615f96c513af72ce9f848faf8fec8e8b8336993c50be1937c5",
+}
+
+SELECTORS = {
+    "H-HPGM-TGD": (hhpgm_tgd, "select_tree_grain"),
+    "H-HPGM-FGD": (hhpgm_fgd, "select_fine_grain"),
+}
+
+
+@pytest.mark.parametrize("kernel", ["fast", "naive"])
+@pytest.mark.parametrize("algorithm", sorted(SINK_GOLDEN))
+def test_all_fit_selection_keeps_its_span_and_sink(
+    small_dataset, monkeypatch, algorithm, kernel
+):
+    """When all of ``Ck`` fits, the pass places no candidate by root key,
+    yet the selector still runs inside its ``duplicate-select`` span and
+    the sink is byte-identical."""
+    module, name = SELECTORS[algorithm]
+    selector = getattr(module, name)
+    selected = []
+
+    def select(*args, **kwargs):
+        chosen = selector(*args, **kwargs)
+        selected.append(len(chosen))
+        return chosen
+
+    def placement(*args, **kwargs):
+        raise AssertionError("an all-fit pass placed candidates by root key")
+
+    monkeypatch.setattr(module, name, select)
+    monkeypatch.setattr(hhpgm, "partition_candidates_by_root", placement)
+    cluster = Cluster.from_database(
+        ClusterConfig(num_nodes=4, memory_per_node=None), small_dataset.database
+    )
+    sink = EventSink()
+    cluster.attach_telemetry(Telemetry(sink=sink))
+    counting = CountingConfig.naive() if kernel == "naive" else CountingConfig()
+    miner = make_miner(algorithm, cluster, small_dataset.taxonomy, counting=counting)
+    run = miner.mine(MIN_SUPPORT, max_k=MAX_K)
+    events = [json.loads(line) for line in sink.lines]
+    opened = [
+        event["attrs"]["k"]
+        for event in events
+        if event["type"] == "span-open" and event["name"] == "duplicate-select"
+    ]
+    assert opened == [2, 3]
+    assert selected == [
+        p.num_candidates for p in run.stats.passes[1:]
+    ] == [p.duplicated_candidates for p in run.stats.passes[1:]]
+    digest = hashlib.sha256("\n".join(sink.lines).encode()).hexdigest()
+    assert digest == SINK_GOLDEN[algorithm]

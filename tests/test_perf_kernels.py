@@ -229,9 +229,11 @@ class TestBatchMetering:
 
         batched = fast()
         total = batched.add_transactions(fragments, weight)
-        if k == 2:
-            # Every distinct mask meters in one call: 16+ of them take
-            # the co-occurrence product when numpy is there.
+        if k == 2 and numpy_path:
+            # One bit-row matrix: the increments wait as one vector.
+            assert batched._vector is not None and not batched._pending
+        elif k == 2:
+            # Every distinct mask meters in one call and waits to fold.
             assert len(batched._pending) >= 16
         per_fragment = fast()
         per_total = sum(
@@ -276,7 +278,7 @@ class TestBatchMetering:
         assert counter.add_transactions([]) == 0
         assert counter.add_transactions([(), (5,), (98, 99)]) == 0
         assert (counter.probes, counter.generated, counter.hits) == (0, 0, 0)
-        assert not counter._pending
+        assert not counter._pending and counter._vector is None
         assert naive().add_transactions([(98, 99)]) == 0
 
 
@@ -358,7 +360,8 @@ class TestReplicaContract:
         for tally in tallies:
             index.absorb(tally)
         if numpy_fold and k == 2:
-            assert len(index._pending) >= 16  # the numpy fold path runs
+            # The replicas' vectors are summed; no mask is left to fold.
+            assert index._vector is not None and not index._pending
         assert index.counts == single.counts
         assert (index.probes, index.generated, index.hits) == (
             single.probes,
@@ -366,6 +369,74 @@ class TestReplicaContract:
             single.hits,
         )
         assert index.hits == sum(single.counts.values())
+
+    @pytest.mark.parametrize("numpy_path", [True, False])
+    @pytest.mark.parametrize("weight", [1, 3, (1 << 31) // 100, (1 << 31) // 25])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_vector_tallies_equal_one_counter_and_naive(
+        self, paper_taxonomy, monkeypatch, numpy_path, weight, seed
+    ):
+        if not numpy_path:
+            monkeypatch.setattr(kernels, "_np", None)
+        elif kernels._np is None:
+            pytest.skip("numpy not installed")
+        else:
+            monkeypatch.setattr(kernels, "_PRODUCT_ROWS", 16)
+        rng = random.Random(4100 + seed)
+        candidates = sorted(set(random_candidates(rng, 2, 30)) | {(1, 2)})
+        universe = {item for c in candidates for item in c}
+        chains = build_closure_table(
+            AncestorIndex(paper_taxonomy), PAPER_LARGE_ITEMS, universe
+        )
+        root_of = build_root_table(paper_taxonomy)
+        fragments = random_transactions(rng, 120, tuple(sorted(PAPER_LARGE_ITEMS)))
+        # 120 rows that hit (1, 2) through their ancestors: at weight
+        # 2**31 // 100 each node's batch (under 100 rows) fits int32 and
+        # the summed count of (1, 2) does not; at 2**31 // 25 each
+        # node's batch needs int64.  (98, 99) is outside the taxonomy
+        # and the candidates: an all-zero row.
+        fragments += [(9, 15)] * 120 + [(98, 99), (3, 98)]
+        rng.shuffle(fragments)
+        batches = [fragments[node::4] for node in range(4)]
+
+        single = FastRootKeyedClosureCounter(candidates, 2, chains, root_of)
+        single_total = sum(single.add_transactions(b, weight) for b in batches)
+
+        index = FastRootKeyedClosureCounter(candidates, 2, chains, root_of)
+        replica_totals = []
+        for node, batch in enumerate(batches):
+            source = pickle.loads(pickle.dumps(index)) if node % 2 else index
+            replica = source.replica()
+            replica_totals.append(replica.add_transactions(batch, weight))
+            tally = replica.tally()
+            if numpy_path:
+                assert tally.vector is not None and not tally.pending
+                rows = sum(len(fragment) >= 2 for fragment in batch)
+                wide = rows * weight >= 1 << 31
+                assert wide == (weight == (1 << 31) // 25)
+                assert tally.vector.dtype == (
+                    kernels._np.int64 if wide else kernels._np.int32
+                )
+                assert sum(tally.vector.tolist()) == tally.hits
+            else:
+                assert tally.vector is None and tally.pending
+            index.absorb(pickle.loads(pickle.dumps(tally)))
+
+        # The naive counter loops per occurrence: run it at weight 1.
+        naive = RootKeyedClosureCounter(candidates, 2, chains, root_of)
+        naive_total = naive.add_transactions(fragments)
+        expected = (
+            {c: n * weight for c, n in naive.counts.items()},
+            naive.probes * weight,
+            naive.generated * weight,
+            naive.hits * weight,
+        )
+        for counter in (single, index):
+            assert (
+                counter.counts, counter.probes, counter.generated, counter.hits
+            ) == expected
+        assert single_total == sum(replica_totals) == naive_total * weight > 0
+        assert (index.counts[(1, 2)] >= 1 << 31) == (weight > 3)
 
     @pytest.mark.parametrize(
         "cls", [RootKeyedClosureCounter, FastRootKeyedClosureCounter]

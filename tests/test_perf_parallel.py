@@ -154,7 +154,7 @@ def _double(n: int) -> int:
 class TestPairOwnerMatrix:
     def test_matrix_matches_itemset_owner(self):
         """The vectorized FNV replay must agree with the scalar hash."""
-        np = pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         import random
 
         from repro.parallel.allocation import itemset_owner, pair_owner_matrix
@@ -170,7 +170,7 @@ class TestPairOwnerMatrix:
                 )
 
     def test_empty_universe(self):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         from repro.parallel.allocation import pair_owner_matrix
 
         index_of, owners = pair_owner_matrix((), 4)
